@@ -16,7 +16,6 @@ from .codec import (
 )
 from .embedder import (
     FRAME_HEADER_BITS,
-    Embedder,
     PredictionErrorEmbedder,
     bits_to_bytes,
     bytes_to_bits,
@@ -34,7 +33,6 @@ from .imagecore import (
     LocationMap,
     count_boundary_pixels,
     parity_mask,
-    parity_of,
     psnr,
 )
 from .pgm import load_pgm, read_pgm, save_pgm, write_pgm
@@ -48,7 +46,7 @@ from .pipeline import (
     max_payload_baseline,
     sweep,
 )
-from .predictor import predict, predict_grid
+from .predictor import predict_grid
 from .preprocess import (
     PreprocessOutput,
     PreprocessParams,
@@ -65,7 +63,6 @@ __all__ = [
     "CompressedMap",
     "CorruptionError",
     "EmbedResult",
-    "Embedder",
     "FRAME_HEADER_BITS",
     "LocationMap",
     "PgmFormatError",
@@ -93,8 +90,6 @@ __all__ = [
     "max_payload",
     "max_payload_baseline",
     "parity_mask",
-    "parity_of",
-    "predict",
     "predict_grid",
     "psnr",
     "read_pgm",

@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .codec import compress, decompress, deserialize_map, serialize_map
+from .codec import compress, decompress, deserialize_side_file, serialize_side_file
 from .embedder import bits_to_bytes, bytes_to_bits
-from .errors import BoundShiftError, CorruptionError, ValidationError
+from .errors import BoundShiftError, ValidationError
 from .fixtures import generate_corpus
 from .imagecore import count_boundary_pixels
 from .pgm import load_pgm, save_pgm
@@ -32,28 +32,11 @@ from .pipeline import (
 from .predictor import predict_grid
 from .preprocess import boundary_count_after, forward, inverse
 
-PARAMS_MAGIC = b"LP"
-
 _REPORT_FIELDS = [
     "image", "width", "height", "shift", "t_even", "t_odd",
     "boundary_before", "boundary_after", "map_bits_before", "map_bits_after",
     "r0_pct", "r1_pct", "r_emb_bpp", "psnr_db", "selected",
 ]
-
-
-def _write_params_file(path, params, cmap):
-    blob = PARAMS_MAGIC + bytes([params.shift, params.t_even, params.t_odd])
-    with open(path, "wb") as fh:
-        fh.write(blob + serialize_map(cmap))
-
-
-def _read_params_file(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 5 or blob[:2] != PARAMS_MAGIC:
-        raise CorruptionError(f"{path} is not a map+params file")
-    params = PreprocessParams(blob[2], blob[3], blob[4])
-    return params, deserialize_map(blob[5:])
 
 
 def cmd_preprocess(args):
@@ -62,7 +45,8 @@ def cmd_preprocess(args):
     out = forward(cover, params)
     cmap = compress(out.locmap)
     save_pgm(args.out, out.shifted, args.flavor)
-    _write_params_file(args.map, params, cmap)
+    with open(args.map, "wb") as fh:
+        fh.write(serialize_side_file(params, cmap))
     before = count_boundary_pixels(cover, params.shift)
     print(f"boundary pixels: {before} -> {boundary_count_after(out)}")
     print(f"map: {cmap.bit_length} bits compressed ({out.locmap.alphabet_size}-ary)")
@@ -72,7 +56,12 @@ def cmd_preprocess(args):
 
 def cmd_restore(args):
     shifted = load_pgm(args.image)
-    params, cmap = _read_params_file(args.map)
+    with open(args.map, "rb") as fh:
+        params, cmap = deserialize_side_file(fh.read())
+    if (cmap.height, cmap.width) != shifted.shape:
+        raise ValidationError(
+            f"map shape {(cmap.height, cmap.width)} does not match image shape {shifted.shape}"
+        )
     cover = inverse(shifted, decompress(cmap), params)
     save_pgm(args.out, cover, args.flavor)
     print(f"wrote {args.out}")

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CorruptionError, ValidationError
 from .imagecore import LocationMap, as_gray, validate_shift_width
+from .preprocess import PreprocessParams
 
 _STATE_BITS = 32
 _FULL_MASK = (1 << _STATE_BITS) - 1
@@ -34,6 +35,8 @@ _DECODER_SLACK = _STATE_BITS
 
 MAP_MAGIC = b"LM"
 _CONTAINER_HEADER = struct.Struct(">2sBIII")
+SIDE_FILE_MAGIC = b"LP"
+_SIDE_FILE_HEADER = struct.Struct(">2sBBB")
 
 
 @dataclass(frozen=True)
@@ -243,21 +246,13 @@ def serialize_map(cmap):
 
 def deserialize_map(buf):
     """Parse container bytes; trailing garbage and truncation are errors."""
-    cmap, consumed = _deserialize_prefix(buf)
-    if consumed != len(buf):
-        raise CorruptionError(f"trailing data after map container (byte {consumed})")
-    return cmap
-
-
-def _deserialize_prefix(buf):
     buf = bytes(buf)
     if len(buf) < _CONTAINER_HEADER.size:
         raise CorruptionError("map container shorter than its header")
     magic, alpha_m1, width, height, bit_length = _CONTAINER_HEADER.unpack_from(buf)
     if magic != MAP_MAGIC:
         raise CorruptionError(f"bad map container magic {magic!r}")
-    nbytes = (bit_length + 7) // 8
-    end = _CONTAINER_HEADER.size + nbytes
+    end = _CONTAINER_HEADER.size + (bit_length + 7) // 8
     if len(buf) < end:
         raise CorruptionError(
             f"truncated map container: need {end} bytes, have {len(buf)}"
@@ -266,4 +261,29 @@ def _deserialize_prefix(buf):
         cmap = CompressedMap(alpha_m1 + 1, width, height, bit_length, buf[_CONTAINER_HEADER.size:end])
     except ValidationError as exc:
         raise CorruptionError(f"malformed map container: {exc}") from exc
-    return cmap, end
+    if end != len(buf):
+        raise CorruptionError(f"trailing data after map container (byte {end})")
+    return cmap
+
+
+def serialize_side_file(params, cmap):
+    """Side-file bytes for preprocess/restore: magic 'LP', u8 shift, t_even,
+    t_odd, then the map container."""
+    header = _SIDE_FILE_HEADER.pack(SIDE_FILE_MAGIC, params.shift, params.t_even, params.t_odd)
+    return header + serialize_map(cmap)
+
+
+def deserialize_side_file(buf):
+    """Parse side-file bytes into (PreprocessParams, CompressedMap); any
+    malformed content raises CorruptionError."""
+    buf = bytes(buf)
+    if len(buf) < _SIDE_FILE_HEADER.size:
+        raise CorruptionError("side file shorter than its header")
+    magic, shift, t_even, t_odd = _SIDE_FILE_HEADER.unpack_from(buf)
+    if magic != SIDE_FILE_MAGIC:
+        raise CorruptionError(f"bad side file magic {magic!r}")
+    try:
+        params = PreprocessParams(shift, t_even, t_odd)
+    except ValidationError as exc:
+        raise CorruptionError(f"corrupt side file parameters: {exc}") from exc
+    return params, deserialize_map(buf[_SIDE_FILE_HEADER.size:])

@@ -8,15 +8,16 @@ outward by one to make room. Per-pixel change is at most 1, so any image
 inside [1, 254] survives without overflow.
 
 Everything embedded in-band travels as one framed bitstream: a 136-bit
-header (magic, version, shift, t_even, t_odd, map bit length, payload bit
-length, CRC-32), then the compressed location map, then the payload,
-MSB-first. The pipeline computes the CRC-32 over the cover's raster-order
-bytes followed by the packed payload bits, so the extractor can tell a
-recovered cover or payload that is wrong from one that is exact. Version 1 frames, whose 104-bit header
-ends at the payload bit length, still decode, without that check.
+big-endian header (u8 magic, version, shift, t_even, t_odd; u32 map bit
+length, payload bit length, CRC-32), then the compressed location map, then
+the payload, MSB-first. The pipeline computes the CRC-32 over the cover's
+raster-order bytes followed by the packed payload bits, so the extractor
+can tell a recovered cover or payload that is wrong from one that is exact.
+Version 1 frames, whose 104-bit header ends at the payload bit length,
+still decode, without that check.
 """
 
-import abc
+import struct
 
 import numpy as np
 
@@ -28,8 +29,10 @@ from .preprocess import PreprocessParams
 
 FRAME_MAGIC = 0xB5
 FRAME_VERSION = 2
-_V1_HEADER_BITS = 104
-FRAME_HEADER_BITS = _V1_HEADER_BITS + 32
+_HEADER = struct.Struct(">BBBBBIII")
+_HEADER_V1 = struct.Struct(">BBBBBII")
+FRAME_HEADER_BITS = 8 * _HEADER.size
+_V1_HEADER_BITS = 8 * _HEADER_V1.size
 
 
 def bytes_to_bits(data):
@@ -54,47 +57,11 @@ def as_bits(bits):
     return a.astype(np.uint8)
 
 
-def uint_to_bits(value, width):
-    """Fixed-width big-endian bit field."""
-    value = int(value)
-    if not 0 <= value < (1 << width):
-        raise ValidationError(f"value {value} does not fit in {width} bits")
-    return ((value >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-
-
-def bits_to_uint(bits):
-    value = 0
-    for b in np.asarray(bits).tolist():
-        value = (value << 1) | int(b)
-    return value
-
-
-class Embedder(abc.ABC):
-    """Contract every embedder fulfils: reversible bit transport on images
-    whose pixels keep at least min_T headroom from 0 and 255, moving each
-    pixel by at most max_shift."""
+class PredictionErrorEmbedder:
+    """Histogram shifting on even-lattice prediction errors, peaks 0 and -1;
+    pixels must lie in [1, 254] and move by at most max_shift."""
 
     max_shift = 1
-    min_T = 1
-
-    @abc.abstractmethod
-    def capacity(self, img):
-        """Number of payload bits img can carry."""
-
-    @abc.abstractmethod
-    def embed(self, img, bits):
-        """Return a marked image carrying bits (plus deterministic filler)."""
-
-    @abc.abstractmethod
-    def extract(self, marked):
-        """Return (full carrier bit stream, original image)."""
-
-
-class PredictionErrorEmbedder(Embedder):
-    """Histogram shifting on even-lattice prediction errors, peaks 0 and -1."""
-
-    max_shift = 1
-    min_T = 1
 
     def _even_errors(self, grid):
         a = grid.astype(np.int64)
@@ -105,17 +72,17 @@ class PredictionErrorEmbedder(Embedder):
         return idx, errors, pred
 
     def capacity(self, img):
+        """Number of payload bits img can carry."""
         a = as_gray(img)
         _, errors, _ = self._even_errors(a)
         return int(((errors == 0) | (errors == -1)).sum())
 
     def embed(self, img, bits):
+        """Return a marked image carrying bits, unused carriers filled with zeros."""
         a = as_gray(img)
         payload = as_bits(bits)
-        if a.size and (int(a.min()) < self.min_T or int(a.max()) > 255 - self.min_T):
-            raise ValidationError(
-                f"embedding needs pixels in [{self.min_T}, {255 - self.min_T}]"
-            )
+        if a.size and (int(a.min()) < 1 or int(a.max()) > 254):
+            raise ValidationError("embedding needs pixels in [1, 254]")
         idx, errors, pred = self._even_errors(a)
         carrier = (errors == 0) | (errors == -1)
         room = int(carrier.sum())
@@ -136,6 +103,7 @@ class PredictionErrorEmbedder(Embedder):
         return flat.reshape(a.shape).astype(np.uint8)
 
     def extract(self, marked):
+        """Return (full carrier bit stream, original image)."""
         a = as_gray(marked)
         idx, coded, pred = self._even_errors(a)
         carrier = (coded >= -2) & (coded <= 1)
@@ -161,22 +129,15 @@ def frame_payload(payload, cmap, params, checksum):
         raise ValidationError("expected a CompressedMap")
     if not isinstance(params, PreprocessParams):
         raise ValidationError("expected PreprocessParams")
-    if bits.size >= 1 << 32 or cmap.bit_length >= 1 << 32:
-        raise ValidationError("length field overflow")
-    header = np.concatenate(
-        [
-            uint_to_bits(FRAME_MAGIC, 8),
-            uint_to_bits(FRAME_VERSION, 8),
-            uint_to_bits(params.shift, 8),
-            uint_to_bits(params.t_even, 8),
-            uint_to_bits(params.t_odd, 8),
-            uint_to_bits(cmap.bit_length, 32),
-            uint_to_bits(bits.size, 32),
-            uint_to_bits(checksum, 32),
-        ]
-    )
+    try:
+        header = _HEADER.pack(
+            FRAME_MAGIC, FRAME_VERSION, params.shift, params.t_even, params.t_odd,
+            cmap.bit_length, bits.size, checksum,
+        )
+    except struct.error as exc:
+        raise ValidationError(f"frame header field out of range: {exc}") from exc
     map_bits = bytes_to_bits(cmap.data)[: cmap.bit_length]
-    return np.concatenate([header, map_bits, bits])
+    return np.concatenate([bytes_to_bits(header), map_bits, bits])
 
 
 def deframe_payload(bits, width, height):
@@ -191,30 +152,23 @@ def deframe_payload(bits, width, height):
         raise CorruptionError(
             f"stream of {stream.size} bits is shorter than the {_V1_HEADER_BITS}-bit header"
         )
-    magic = bits_to_uint(stream[0:8])
-    version = bits_to_uint(stream[8:16])
+    head = np.packbits(stream[:FRAME_HEADER_BITS]).tobytes()
+    magic, version, shift, t_even, t_odd, map_bits, payload_bits = _HEADER_V1.unpack_from(head)
     if magic != FRAME_MAGIC:
         raise CorruptionError(f"bad frame magic 0x{magic:02X}")
     if version not in (1, FRAME_VERSION):
         raise CorruptionError(f"unsupported frame version {version}")
-    shift = bits_to_uint(stream[16:24])
-    t_even = bits_to_uint(stream[24:32])
-    t_odd = bits_to_uint(stream[32:40])
-    map_bits = bits_to_uint(stream[40:72])
-    payload_bits = bits_to_uint(stream[72:104])
     try:
         params = PreprocessParams(shift, t_even, t_odd)
     except ValidationError as exc:
         raise CorruptionError(f"corrupt frame parameters: {exc}") from exc
-    if version == FRAME_VERSION:
-        map_start, checksum = FRAME_HEADER_BITS, bits_to_uint(stream[104:136])
-    else:
-        map_start, checksum = _V1_HEADER_BITS, None
+    map_start = FRAME_HEADER_BITS if version == FRAME_VERSION else _V1_HEADER_BITS
     need = map_start + map_bits + payload_bits
     if need > stream.size:
         raise CorruptionError(
             f"frame declares {need} bits but only {stream.size} are available"
         )
+    checksum = _HEADER.unpack_from(head)[-1] if version == FRAME_VERSION else None
     map_slice = stream[map_start:map_start + map_bits]
     cmap = CompressedMap(
         2 * params.shift + 1, width, height, map_bits, bits_to_bytes(map_slice)

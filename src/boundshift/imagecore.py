@@ -33,11 +33,6 @@ def validate_shift_width(shift):
     return int(shift)
 
 
-def parity_of(i, j):
-    """Checkerboard parity of cell (i, j): 0 on the even lattice, 1 on the odd."""
-    return (int(i) + int(j)) & 1
-
-
 def parity_mask(height, width, parity):
     """Boolean mask selecting all cells of one checkerboard parity."""
     if parity not in (0, 1):

@@ -25,7 +25,7 @@ from .errors import CapacityError, CorruptionError, ValidationError
 from .imagecore import as_gray, count_boundary_pixels, psnr, validate_shift_width
 from .preprocess import PreprocessParams, boundary_count_after, forward, inverse
 
-_DEFAULT_EMBEDDER = PredictionErrorEmbedder()
+_EMBEDDER = PredictionErrorEmbedder()
 
 
 @dataclass(eq=False)
@@ -63,33 +63,24 @@ def _checksum(cover, payload):
     return zlib.crc32(np.packbits(payload).tobytes(), zlib.crc32(cover.tobytes()))
 
 
-def _check_embedder(emb, shift):
-    if emb.min_T > shift:
-        raise ValidationError(
-            f"embedder needs shift width >= {emb.min_T}, got {shift}"
-        )
-
-
-def _prepare(cover, params, emb):
+def _prepare(cover, params):
     a = as_gray(cover)
     out = forward(a, params)
     cmap = compress(out.locmap)
-    room = emb.capacity(out.shifted)
+    room = _EMBEDDER.capacity(out.shifted)
     return a, out, cmap, room
 
 
-def max_payload(cover, params, emb=_DEFAULT_EMBEDDER):
+def max_payload(cover, params):
     """Payload bits embed_full can carry for this cover and parameter set."""
-    _check_embedder(emb, params.shift)
-    _, _, cmap, room = _prepare(cover, params, emb)
+    _, _, cmap, room = _prepare(cover, params)
     return max(0, room - FRAME_HEADER_BITS - cmap.bit_length)
 
 
-def embed_full(cover, payload, params, emb=_DEFAULT_EMBEDDER):
+def embed_full(cover, payload, params):
     """Clear boundary pixels, then embed map + payload; returns EmbedResult."""
-    _check_embedder(emb, params.shift)
     bits = as_bits(payload)
-    a, out, cmap, room = _prepare(cover, params, emb)
+    a, out, cmap, room = _prepare(cover, params)
     framed = frame_payload(bits, cmap, params, _checksum(a, bits))
     if framed.size > room:
         raise CapacityError(
@@ -97,7 +88,7 @@ def embed_full(cover, payload, params, emb=_DEFAULT_EMBEDDER):
             f"({cmap.bit_length} map bits + {FRAME_HEADER_BITS} header bits)",
             deficit_bits=framed.size - room,
         )
-    marked = emb.embed(out.shifted, framed)
+    marked = _EMBEDDER.embed(out.shifted, framed)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     return EmbedResult(
         marked=marked,
@@ -108,11 +99,11 @@ def embed_full(cover, payload, params, emb=_DEFAULT_EMBEDDER):
     )
 
 
-def extract_full(marked, emb=_DEFAULT_EMBEDDER):
+def extract_full(marked):
     """Blind extraction: returns (payload bits, recovered cover), or raises
     CorruptionError when they fail the frame's checksum (version 2 frames)."""
     a = as_gray(marked)
-    stream, shifted = emb.extract(a)
+    stream, shifted = _EMBEDDER.extract(a)
     height, width = a.shape
     payload, cmap, params, checksum = deframe_payload(stream, width, height)
     t = params.shift
@@ -127,15 +118,14 @@ def extract_full(marked, emb=_DEFAULT_EMBEDDER):
     return payload, cover
 
 
-def max_payload_baseline(cover, shift, emb=_DEFAULT_EMBEDDER):
+def max_payload_baseline(cover, shift):
     """Capacity of the direct route: clamp boundary pixels into the interior
     range, carry the plain binary boundary map as side information."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
-    _check_embedder(emb, t)
     cmap = compress_binary_baseline(a, t)
     adjusted = np.clip(a, t, 255 - t).astype(np.uint8)
-    room = emb.capacity(adjusted)
+    room = _EMBEDDER.capacity(adjusted)
     return max(0, room - FRAME_HEADER_BITS - cmap.bit_length)
 
 
@@ -144,24 +134,22 @@ def _payload_for_report(bit_count, seed, t_even, t_odd):
     return rng.integers(0, 2, size=bit_count, dtype=np.uint8)
 
 
-def evaluate_cell(cover, params, emb=_DEFAULT_EMBEDDER, payload_seed=1,
-                  before_count=None, before_bits=None):
+def evaluate_cell(cover, params, payload_seed=1, before_count=None, before_bits=None):
     """Metrics for one threshold cell; PSNR is measured on a marked image
     carrying a seeded max-size pseudorandom payload."""
     a = as_gray(cover)
-    _check_embedder(emb, params.shift)
     if before_count is None:
         before_count = count_boundary_pixels(a, params.shift)
     if before_bits is None:
         before_bits = compress_binary_baseline(a, params.shift).bit_length
-    _, out, cmap, room = _prepare(a, params, emb)
+    _, out, cmap, room = _prepare(a, params)
     after_count = boundary_count_after(out)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room >= side_info:
         payload = _payload_for_report(payload_room, payload_seed, params.t_even, params.t_odd)
         framed = frame_payload(payload, cmap, params, _checksum(a, payload))
-        marked = emb.embed(out.shifted, framed)
+        marked = _EMBEDDER.embed(out.shifted, framed)
         quality = psnr(a, marked)
     else:
         quality = None
@@ -180,7 +168,7 @@ def evaluate_cell(cover, params, emb=_DEFAULT_EMBEDDER, payload_seed=1,
     )
 
 
-def sweep(cover, t_range, shift, emb=_DEFAULT_EMBEDDER, payload_seed=1):
+def sweep(cover, t_range, shift, payload_seed=1):
     """Evaluate every (t_even, t_odd) cell; the record with the highest
     r_emb is flagged selected, ties resolved to the smallest pair."""
     a = as_gray(cover)
@@ -197,7 +185,6 @@ def sweep(cover, t_range, shift, emb=_DEFAULT_EMBEDDER, payload_seed=1):
                 evaluate_cell(
                     a,
                     PreprocessParams(t, t_even, t_odd),
-                    emb,
                     payload_seed,
                     before_count,
                     before_bits,

@@ -2,55 +2,15 @@
 
 A cell's prediction reads only its in-bounds vertical/horizontal neighbors,
 which all sit on the opposite checkerboard parity. That makes each parity
-pass data-parallel: predict_grid computes every cell at once and agrees
-exactly with the scalar predict().
+pass data-parallel: predict_grid computes every cell at once. The mean is
+rounded to the nearest integer with ties away from zero, in integer
+arithmetic; tests/oracle_predict.py holds the per-cell reference that
+predict_grid is checked against.
 """
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-def round_half_away(total, count):
-    """Nearest integer to total/count, ties rounded away from zero."""
-    if count <= 0:
-        raise ValidationError("count must be positive")
-    total = int(total)
-    count = int(count)
-    if total >= 0:
-        return (2 * total + count) // (2 * count)
-    return -((-2 * total + count) // (2 * count))
-
-
-def predict(img, i, j):
-    """Predict one pixel from its in-bounds 4-neighborhood.
-
-    Works on both uint8 images and wide intermediate grids (values may be
-    negative or exceed 255 mid-pipeline).
-    """
-    a = np.asarray(img)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a 2-D grid, got shape {a.shape}")
-    h, w = a.shape
-    if not (0 <= i < h and 0 <= j < w):
-        raise ValidationError(f"cell ({i}, {j}) outside a {h}x{w} grid")
-    total = 0
-    count = 0
-    if i > 0:
-        total += int(a[i - 1, j])
-        count += 1
-    if i < h - 1:
-        total += int(a[i + 1, j])
-        count += 1
-    if j > 0:
-        total += int(a[i, j - 1])
-        count += 1
-    if j < w - 1:
-        total += int(a[i, j + 1])
-        count += 1
-    if count == 0:
-        raise ValidationError("1x1 grid has no neighbors to predict from")
-    return round_half_away(total, count)
 
 
 def predict_grid(img):

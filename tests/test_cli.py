@@ -104,21 +104,55 @@ def test_preprocess_restore_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "boundary pixels: 256 -> 0" in out
     assert np.array_equal(load_pgm(shifted), np.ones((16, 16), dtype=np.uint8))
+    # magic LP, shift 1, t_even 1, t_odd 4, then the LM map container:
+    # alphabet 3, 16x16, 3 coded bits
+    assert side.read_bytes() == bytes.fromhex(
+        "4c50" "01" "01" "04" "4c4d" "02" "00000010" "00000010" "00000003" "e0"
+    )
     rc = main(["restore", str(shifted), "--map", str(side), "--out", str(tmp_path / "b.pgm")])
     assert rc == 0
     assert (tmp_path / "b.pgm").read_bytes() == cover.read_bytes()
 
 
-def test_restore_rejects_corrupt_side_file(tmp_path):
+def _preprocess_8x8(tmp_path):
     cover = tmp_path / "c.pgm"
     save_pgm(cover, np.zeros((8, 8), dtype=np.uint8))
     side = tmp_path / "side.lp"
     main(["preprocess", str(cover), "--out", str(tmp_path / "s.pgm"),
           "--map", str(side), "--t-even", "1", "--t-odd", "1"])
-    side.write_bytes(b"XY" + side.read_bytes()[2:])
-    rc = main(["restore", str(tmp_path / "s.pgm"), "--map", str(side),
-               "--out", str(tmp_path / "b.pgm")])
-    assert rc == 4
+    return side
+
+
+def _restore(tmp_path, side):
+    return main(["restore", str(tmp_path / "s.pgm"), "--map", str(side),
+                 "--out", str(tmp_path / "b.pgm")])
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda blob: b"XY" + blob[2:], "magic"),
+        (lambda blob: blob[:3] + b"\x00" + blob[4:], "t_even"),   # zeroed t_even byte
+    ],
+    ids=["bad-magic", "zero-param"],
+)
+def test_restore_rejects_corrupt_side_file(tmp_path, capsys, corrupt, message):
+    side = _preprocess_8x8(tmp_path)
+    side.write_bytes(corrupt(side.read_bytes()))
+    assert _restore(tmp_path, side) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [9, 0xFFFFFFFF])
+def test_restore_rejects_map_of_another_size(tmp_path, capsys, size):
+    side = _preprocess_8x8(tmp_path)
+    blob = bytearray(side.read_bytes())
+    # the LM container starts at byte 5; width and height follow its
+    # two magic bytes and the alphabet byte
+    blob[8:16] = size.to_bytes(4, "big") * 2
+    side.write_bytes(bytes(blob))
+    assert _restore(tmp_path, side) == 2
+    assert "does not match image shape" in capsys.readouterr().err
 
 
 def test_extract_of_damaged_image_exits_4(tmp_path, capsys):

@@ -5,7 +5,9 @@ import pytest
 from numpy.random import default_rng
 
 from boundshift import LocationMap, ValidationError, count_boundary_pixels, parity_mask, psnr
-from boundshift.imagecore import as_gray, parity_of, validate_shift_width
+from boundshift.imagecore import as_gray, validate_shift_width
+
+from oracle_predict import parity_of
 
 
 def test_as_gray_accepts_lists_and_integer_dtypes():
