@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,13 +11,16 @@ from boundshift import (
     CompressedMap,
     CorruptionError,
     LocationMap,
+    PreprocessParams,
     ValidationError,
     compress,
     compress_binary_baseline,
     decompress,
     deserialize_map,
+    forward,
     serialize_map,
 )
+from boundshift.fixtures import _blobs, _pooled_field
 
 # Frozen container bytes for the map [[0,1,2],[2,2,2]] over alphabet 3:
 # 'LM', alphabet-1 = 02, width 3, height 2, 16 coded bits, payload 0x52E5.
@@ -34,6 +38,36 @@ def test_golden_container_decodes():
     out = decompress(cmap)
     assert np.array_equal(out.symbols, GOLDEN_MAP.symbols)
     assert out.alphabet_size == 3
+
+
+# Coded size and container digest of maps long enough for the model to halve
+# its counts (constant: 3 times; dark cover: 14 times), plus the widest
+# alphabet and a binary baseline map. GOLDEN_BYTES is too short to reach a
+# halving, so these pin the rest of the coder's arithmetic.
+@pytest.mark.parametrize("make_cmap, bit_length, digest", [
+    pytest.param(
+        lambda: compress(LocationMap(np.full((64, 64), 2), 3)),
+        3, "b9cf73900cd9bfb5fad81de853bb8b4f17eca2d2d83269193cdd9cc17f1e375a",
+        id="constant-64"),
+    pytest.param(
+        lambda: compress(forward(_pooled_field(default_rng(12), 128, 128, 40, 45),
+                                 PreprocessParams(1, 1, 4)).locmap),
+        2993, "e37f542409dd964a5e0bcfd9702ff9aaa0a5c818ce86633c2ec489b9d56fae6b",
+        id="dark-128"),
+    pytest.param(
+        lambda: compress(LocationMap(default_rng(5).integers(0, 256, (32, 32)), 256)),
+        9221, "6f67019d9454e2cc8580596139b85a4f4938721e072ba4707af38d46c574e04b",
+        id="uniform-256"),
+    pytest.param(
+        lambda: compress_binary_baseline(_blobs(default_rng(6), 64, 64, 0.45), 1),
+        4061, "2990af3d35b13fe46bd65864d9f8a8d36e37a93570321bcabebca0002ef8928d",
+        id="baseline-blobs-64"),
+])
+def test_coded_bytes_are_pinned(make_cmap, bit_length, digest):
+    cmap = make_cmap()
+    assert cmap.bit_length == bit_length
+    assert hashlib.sha256(serialize_map(cmap)).hexdigest() == digest
+    assert compress(decompress(cmap)) == cmap
 
 
 def test_compress_is_deterministic():
