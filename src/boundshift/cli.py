@@ -205,11 +205,10 @@ def cmd_analyze(args):
         try:
             cover = load_pgm(path)
             if args.sweep:
-                recs = sweep(cover, range(1, args.t_max + 1), args.shift,
-                             payload_seed=args.payload_seed)
+                recs = sweep(cover, range(1, args.t_max + 1), args.shift)
             else:
                 params = PreprocessParams(args.shift, args.t_even, args.t_odd)
-                rec = evaluate_cell(cover, params, payload_seed=args.payload_seed)
+                rec = evaluate_cell(cover, params)
                 rec.selected = True
                 recs = [rec]
         except (BoundShiftError, OSError) as exc:
@@ -316,8 +315,6 @@ def build_parser():
                    help="directory for boundary-map visualizations")
     p.add_argument("--joint-hist", default=None,
                    help="directory for (value, prediction) histogram CSVs")
-    p.add_argument("--payload-seed", type=int, default=1,
-                   help="seed for the pseudorandom report payloads (default 1)")
     _add_params(p, required=False)
     _add_flavor(p)
     p.set_defaults(func=cmd_analyze)

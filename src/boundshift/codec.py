@@ -1,13 +1,17 @@
 """Bit-exact adaptive entropy coding for location maps.
 
-The coder is a 32-bit integer arithmetic coder: an interval (low, high) is
-narrowed symbol by symbol and renormalized one bit at a time. Carries are
-handled with pending-bit bookkeeping: while the interval straddles the
-midpoint, bits cannot be decided yet, so their count is parked and flushed
-(inverted) together with the next decided bit. The encoder flushes all
-pending bits at finish, which pins the decoder's lookahead to exactly 31
-bits past the written stream; any read beyond that window is a corruption
-signal, never silent zero-padding.
+The coder is a 32-bit integer arithmetic coder (Witten, Neal and Cleary,
+CACM 1987), written as two plain loops with local state: compress() and
+decompress(). An interval (low, high) is narrowed symbol by symbol and
+renormalized one bit at a time. Carries are handled with pending-bit
+bookkeeping: while the interval straddles the midpoint, bits cannot be
+decided yet, so their count is parked and flushed (inverted) together with
+the next decided bit. The encoder flushes all pending bits at finish, so the
+decoder's lookahead never needs more than 32 bits past the written stream.
+The decoder unpacks the stream once and appends 32 zero bits; a read past
+that window is a corruption signal, never silent zero-padding. The decoded
+map grows symbol by symbol, so a stream that runs out ends the decode
+whatever size the map declares.
 
 The probability model is adaptive order-0 and identical on both sides:
 per-symbol counts start at 1, grow by 32 per coded symbol, and all counts
@@ -22,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, ValidationError
-from .imagecore import LocationMap, as_gray, validate_shift_width
+from .imagecore import LocationMap, boundary_mask
 from .preprocess import PreprocessParams
 
 _STATE_BITS = 32
 _FULL_MASK = (1 << _STATE_BITS) - 1
 _TOP_BIT = 1 << (_STATE_BITS - 1)
+_HALF_MASK = _FULL_MASK >> 1
 _SECOND_BIT = _TOP_BIT >> 1
 _MODEL_INCREMENT = 32
 _MODEL_CAP = 1 << 16
-_DECODER_SLACK = _STATE_BITS
 
 MAP_MAGIC = b"LM"
 _CONTAINER_HEADER = struct.Struct(">2sBIII")
@@ -63,121 +67,9 @@ class CompressedMap:
             )
 
 
-class _AdaptiveModel:
-    __slots__ = ("freq", "total")
-
-    def __init__(self, alphabet_size):
-        self.freq = [1] * alphabet_size
-        self.total = alphabet_size
-
-    def update(self, symbol):
-        freq = self.freq
-        freq[symbol] += _MODEL_INCREMENT
-        self.total += _MODEL_INCREMENT
-        if freq[symbol] >= _MODEL_CAP:
-            total = 0
-            for k in range(len(freq)):
-                freq[k] = (freq[k] + 1) >> 1
-                total += freq[k]
-            self.total = total
-
-
-class _Encoder:
-    def __init__(self):
-        self.low = 0
-        self.high = _FULL_MASK
-        self.pending = 0
-        self.bits = []
-
-    def encode(self, cum_low, freq, total):
-        low = self.low
-        span = self.high - low + 1
-        self.high = low + (span * (cum_low + freq)) // total - 1
-        self.low = low + (span * cum_low) // total
-        bits = self.bits
-        while True:
-            if ((self.low ^ self.high) & _TOP_BIT) == 0:
-                bit = self.low >> (_STATE_BITS - 1)
-                bits.append(bit)
-                if self.pending:
-                    bits.extend([bit ^ 1] * self.pending)
-                    self.pending = 0
-                self.low = (self.low << 1) & _FULL_MASK
-                self.high = ((self.high << 1) & _FULL_MASK) | 1
-            elif (self.low & ~self.high & _SECOND_BIT) != 0:
-                self.pending += 1
-                self.low = (self.low << 1) & (_FULL_MASK >> 1)
-                self.high = ((self.high << 1) & (_FULL_MASK >> 1)) | _TOP_BIT | 1
-            else:
-                return
-
-    def finish(self):
-        # A final 1 plus the parked bits (necessarily zeros after a 1) pins
-        # the coded value inside the final interval.
-        self.bits.append(1)
-        if self.pending:
-            self.bits.extend([0] * self.pending)
-            self.pending = 0
-
-
-class _Decoder:
-    def __init__(self, data, bit_length):
-        if bit_length > len(data) * 8:
-            raise CorruptionError("compressed map shorter than its declared bit length")
-        self.unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        self.bit_length = bit_length
-        self.limit = bit_length + _DECODER_SLACK
-        self.pos = 0
-        self.low = 0
-        self.high = _FULL_MASK
-        code = 0
-        for _ in range(_STATE_BITS):
-            code = (code << 1) | self._read_bit()
-        self.code = code
-
-    def _read_bit(self):
-        pos = self.pos
-        if pos >= self.limit:
-            raise CorruptionError("compressed map exhausted mid-decode")
-        self.pos = pos + 1
-        if pos >= self.bit_length:
-            return 0
-        return int(self.unpacked[pos])
-
-    def decode(self, model):
-        low = self.low
-        span = self.high - low + 1
-        total = model.total
-        value = ((self.code - low + 1) * total - 1) // span
-        if value >= total or value < 0:
-            raise CorruptionError("decoder state desynchronized")
-        cum = 0
-        symbol = 0
-        for freq in model.freq:
-            if cum + freq > value:
-                break
-            cum += freq
-            symbol += 1
-        self.high = low + (span * (cum + freq)) // total - 1
-        self.low = low + (span * cum) // total
-        while True:
-            if ((self.low ^ self.high) & _TOP_BIT) == 0:
-                self.code = ((self.code << 1) & _FULL_MASK) | self._read_bit()
-                self.low = (self.low << 1) & _FULL_MASK
-                self.high = ((self.high << 1) & _FULL_MASK) | 1
-            elif (self.low & ~self.high & _SECOND_BIT) != 0:
-                self.code = (
-                    (self.code & _TOP_BIT)
-                    | ((self.code << 1) & (_FULL_MASK >> 1))
-                    | self._read_bit()
-                )
-                self.low = (self.low << 1) & (_FULL_MASK >> 1)
-                self.high = ((self.high << 1) & (_FULL_MASK >> 1)) | _TOP_BIT | 1
-            else:
-                break
-        if not self.low <= self.code <= self.high:
-            raise CorruptionError("decoder state desynchronized")
-        return symbol
+def _halved(freq):
+    """The model's counts halved, each kept at least 1."""
+    return [(f + 1) >> 1 for f in freq]
 
 
 def compress(locmap):
@@ -188,18 +80,41 @@ def compress(locmap):
     height, width = symbols.shape
     if symbols.size == 0:
         return CompressedMap(locmap.alphabet_size, width, height, 0, b"")
-    enc = _Encoder()
-    model = _AdaptiveModel(locmap.alphabet_size)
+    freq = [1] * locmap.alphabet_size
+    total = locmap.alphabet_size
+    low, high, pending = 0, _FULL_MASK, 0
+    bits = []
     for s in symbols.ravel().tolist():
-        freq = model.freq
-        cum = 0
-        for k in range(s):
-            cum += freq[k]
-        enc.encode(cum, freq[s], model.total)
-        model.update(s)
-    enc.finish()
-    data = np.packbits(np.array(enc.bits, dtype=np.uint8)).tobytes()
-    return CompressedMap(locmap.alphabet_size, width, height, len(enc.bits), data)
+        cum = sum(freq[:s])
+        span = high - low + 1
+        high = low + (span * (cum + freq[s])) // total - 1
+        low = low + (span * cum) // total
+        while True:
+            if ((low ^ high) & _TOP_BIT) == 0:
+                bit = low >> (_STATE_BITS - 1)
+                bits.append(bit)
+                if pending:
+                    bits.extend([bit ^ 1] * pending)
+                    pending = 0
+                low = (low << 1) & _FULL_MASK
+                high = ((high << 1) & _FULL_MASK) | 1
+            elif (low & ~high & _SECOND_BIT) != 0:
+                pending += 1
+                low = (low << 1) & _HALF_MASK
+                high = ((high << 1) & _HALF_MASK) | _TOP_BIT | 1
+            else:
+                break
+        freq[s] += _MODEL_INCREMENT
+        total += _MODEL_INCREMENT
+        if freq[s] >= _MODEL_CAP:
+            freq = _halved(freq)
+            total = sum(freq)
+    # A final 1 plus the parked bits (necessarily zeros after a 1) pins the
+    # coded value inside the final interval.
+    bits.append(1)
+    bits.extend([0] * pending)
+    data = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+    return CompressedMap(locmap.alphabet_size, width, height, len(bits), data)
 
 
 def decompress(cmap):
@@ -210,23 +125,58 @@ def decompress(cmap):
     shape = (cmap.height, cmap.width)
     if count == 0:
         return LocationMap(np.zeros(shape, dtype=np.uint8), cmap.alphabet_size)
-    dec = _Decoder(cmap.data, cmap.bit_length)
-    model = _AdaptiveModel(cmap.alphabet_size)
-    out = np.empty(count, dtype=np.uint8)
-    for k in range(count):
-        s = dec.decode(model)
-        model.update(s)
-        out[k] = s
-    return LocationMap(out.reshape(shape), cmap.alphabet_size)
+    stream = np.unpackbits(np.frombuffer(cmap.data, dtype=np.uint8), count=cmap.bit_length)
+    bits = stream.tolist() + [0] * _STATE_BITS
+    end = len(bits)
+    code = 0
+    for bit in bits[:_STATE_BITS]:
+        code = (code << 1) | bit
+    pos = _STATE_BITS
+    freq = [1] * cmap.alphabet_size
+    total = cmap.alphabet_size
+    low, high = 0, _FULL_MASK
+    out = bytearray()
+    for _ in range(count):
+        span = high - low + 1
+        value = ((code - low + 1) * total - 1) // span
+        if not 0 <= value < total:
+            raise CorruptionError("decoder state desynchronized")
+        s, cum = 0, 0
+        while cum + freq[s] <= value:
+            cum += freq[s]
+            s += 1
+        high = low + (span * (cum + freq[s])) // total - 1
+        low = low + (span * cum) // total
+        while True:
+            if ((low ^ high) & _TOP_BIT) == 0:
+                code = (code << 1) & _FULL_MASK
+                low = (low << 1) & _FULL_MASK
+                high = ((high << 1) & _FULL_MASK) | 1
+            elif (low & ~high & _SECOND_BIT) != 0:
+                code = (code & _TOP_BIT) | ((code << 1) & _HALF_MASK)
+                low = (low << 1) & _HALF_MASK
+                high = ((high << 1) & _HALF_MASK) | _TOP_BIT | 1
+            else:
+                break
+            if pos == end:
+                raise CorruptionError("compressed map exhausted mid-decode")
+            code |= bits[pos]
+            pos += 1
+        if not low <= code <= high:
+            raise CorruptionError("decoder state desynchronized")
+        out.append(s)
+        freq[s] += _MODEL_INCREMENT
+        total += _MODEL_INCREMENT
+        if freq[s] >= _MODEL_CAP:
+            freq = _halved(freq)
+            total = sum(freq)
+    return LocationMap(np.frombuffer(out, dtype=np.uint8).reshape(shape), cmap.alphabet_size)
 
 
 def compress_binary_baseline(img, shift):
     """Compress the plain 0/1 boundary indicator of an image (the side
     information a direct embedder would have to carry)."""
-    a = as_gray(img)
-    t = validate_shift_width(shift)
-    marks = ((a < t) | (a > 255 - t)).astype(np.uint8)
-    return compress(LocationMap(marks, 2))
+    return compress(LocationMap(boundary_mask(img, shift).astype(np.uint8), 2))
 
 
 def serialize_map(cmap):

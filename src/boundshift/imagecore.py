@@ -42,11 +42,17 @@ def parity_mask(height, width, parity):
     return ((ii + jj) & 1) == parity
 
 
-def count_boundary_pixels(img, shift):
-    """Number of pixels inside the boundary band for the given shift width."""
+def boundary_mask(img, shift):
+    """Boolean mask of the pixels inside the boundary band for the given
+    shift width."""
     a = as_gray(img)
     t = validate_shift_width(shift)
-    return int(((a < t) | (a > 255 - t)).sum())
+    return (a < t) | (a > 255 - t)
+
+
+def count_boundary_pixels(img, shift):
+    """Number of pixels inside the boundary band for the given shift width."""
+    return int(boundary_mask(img, shift).sum())
 
 
 def psnr(a, b):

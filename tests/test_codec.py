@@ -176,3 +176,11 @@ def test_short_read_window_is_bounded():
         short = CompressedMap(3, 32, 32, kept, cmap.data[: (kept + 7) // 8])
         with pytest.raises(CorruptionError):
             decompress(short)
+
+
+def test_oversized_declared_map_runs_out_of_stream():
+    # the decoded map grows symbol by symbol, so a map declaring more cells
+    # than numpy can address still ends in CorruptionError once its one-byte
+    # stream runs out
+    with pytest.raises(CorruptionError, match="exhausted"):
+        decompress(CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00"))

@@ -5,9 +5,12 @@ mutated copies of valid input and arbitrary bytes. A ValueError, IndexError,
 MemoryError or any other exception escaping means a malformed file would
 crash the CLI with a traceback instead of a documented exit code.
 
-Declared sizes are kept small so that no example can make a reader allocate
-more than a few MiB, except the one oversized-map example, whose dimensions
-multiply past what numpy can even address.
+Declared sizes are kept small so that every example stays fast: the decoder
+grows a map only as its stream allows, but a one-byte stream on a large
+declared map can still decode up to 2.5 * 10**5 symbols before it runs out.
+The one oversized-map example, whose dimensions multiply past what numpy
+can even address, goes through restore, which checks the map's size against
+the image before decoding.
 """
 
 import numpy as np
@@ -88,6 +91,8 @@ def test_fuzz_read_pgm_mutated(flavor, mutations, cut):
 def _decode_map(data):
     try:
         cmap = deserialize_map(data)
+        # a one-byte stream on a large declared map decodes up to 2.5 * 10**5
+        # symbols before it runs out; the cap keeps each example fast
         if cmap.width * cmap.height <= 4096:
             decompress(cmap)
     except BoundShiftError:
