@@ -1,0 +1,168 @@
+/* The location-map arithmetic coder of codec.py, as a compiled kernel.
+ *
+ * A line-for-line port of codec._encode_py and codec._decode_py: the
+ * Witten-Neal-Cleary 32-bit integer coder with pending-bit carries and an
+ * adaptive order-0 model (counts start at 1, grow by 32, and are all halved,
+ * floor 1, when the updated count reaches 2**16). Every count stays below
+ * 2**16 and the alphabet has at most 256 symbols, so a total is below 2**24,
+ * and a span is at most 2**32: every product of the two is below 2**56,
+ * which uint64_t holds. codec.py loads this file through ctypes and keeps
+ * the Python loops as the fallback and as the reference the tests compare
+ * against.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+#define TOP_BIT 0x80000000u
+#define SECOND_BIT 0x40000000u
+#define HALF_MASK 0x7fffffffu
+#define INCREMENT 32
+#define CAP 65536
+
+enum { BS_OK = 0, BS_DESYNC = 1, BS_EXHAUSTED = 2, BS_NO_MEMORY = 3 };
+
+static void model_init(uint32_t *freq, uint64_t *total, int alphabet) {
+    for (int i = 0; i < alphabet; i++)
+        freq[i] = 1;
+    *total = (uint64_t)alphabet;
+}
+
+static void model_update(uint32_t *freq, uint64_t *total, int alphabet, int s) {
+    freq[s] += INCREMENT;
+    *total += INCREMENT;
+    if (freq[s] >= CAP) {
+        *total = 0;
+        for (int i = 0; i < alphabet; i++) {
+            freq[i] = (freq[i] + 1) >> 1;
+            *total += freq[i];
+        }
+    }
+}
+
+/* Code n symbols, each below alphabet, into out as MSB-first bits and
+ * return the number of bits written. out must hold 4*n + 1 zeroed bytes.
+ * That bound: a span (high - low + 1) above 2**30 narrowed by a count of at
+ * least 1 out of a total below 2**24 is still at least 1, and each
+ * renormalization step doubles it. A step is taken only while the span is
+ * at most 2**31, so a symbol takes at most 32 steps, and each step writes
+ * one bit now or parks one pending bit that is written later. With the
+ * final 1 that makes at most 32*n + 1 bits. */
+uint64_t bs_encode(const uint8_t *symbols, uint64_t n, int alphabet, uint8_t *out) {
+    uint32_t freq[256];
+    uint64_t total, nbits = 0, pending = 0;
+    uint32_t low = 0, high = 0xffffffffu;
+    model_init(freq, &total, alphabet);
+#define PUT(b) do { if (b) out[nbits >> 3] |= (uint8_t)(0x80u >> (nbits & 7)); nbits++; } while (0)
+    for (uint64_t i = 0; i < n; i++) {
+        int s = symbols[i];
+        uint64_t cum = 0;
+        for (int j = 0; j < s; j++)
+            cum += freq[j];
+        uint64_t span = (uint64_t)high - low + 1;
+        high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
+        low = (uint32_t)(low + span * cum / total);
+        for (;;) {
+            if (((low ^ high) & TOP_BIT) == 0) {
+                uint32_t bit = low >> 31;
+                PUT(bit);
+                for (; pending; pending--)
+                    PUT(bit ^ 1);
+                low <<= 1;
+                high = (high << 1) | 1;
+            } else if ((low & ~high & SECOND_BIT) != 0) {
+                pending++;
+                low = (low << 1) & HALF_MASK;
+                high = ((high << 1) & HALF_MASK) | TOP_BIT | 1;
+            } else {
+                break;
+            }
+        }
+        model_update(freq, &total, alphabet, s);
+    }
+    /* A final 1 plus the parked bits, zeros after a 1, already zeroed. */
+    PUT(1);
+#undef PUT
+    return nbits + pending;
+}
+
+/* Decode count symbols from the first bit_length bits of data, followed by
+ * a window of 32 zero bits. On BS_OK, *out holds *n_out == count symbols,
+ * to be released with bs_free. The output grows by doubling as symbols are
+ * decoded, so a short stream ends the decode whatever count it declares; on
+ * any error nothing is left allocated. */
+int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alphabet,
+              uint8_t **out, uint64_t *n_out) {
+    uint32_t freq[256];
+    uint64_t total, pos, end = bit_length + 32, cap = 0, n = 0;
+    uint32_t low = 0, high = 0xffffffffu, code = 0;
+    uint8_t *buf = NULL;
+    int status = BS_OK;
+    model_init(freq, &total, alphabet);
+#define BIT(p) ((p) < bit_length ? (data[(p) >> 3] >> (7 - ((p) & 7))) & 1u : 0u)
+    for (pos = 0; pos < 32; pos++)
+        code = (code << 1) | BIT(pos);
+    for (; n < count; n++) {
+        uint64_t span = (uint64_t)high - low + 1;
+        uint64_t value = (((uint64_t)code - low + 1) * total - 1) / span;
+        if (code < low || value >= total) {
+            status = BS_DESYNC;
+            break;
+        }
+        int s = 0;
+        uint64_t cum = 0;
+        while (cum + freq[s] <= value)
+            cum += freq[s++];
+        high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
+        low = (uint32_t)(low + span * cum / total);
+        for (;;) {
+            if (((low ^ high) & TOP_BIT) == 0) {
+                code <<= 1;
+                low <<= 1;
+                high = (high << 1) | 1;
+            } else if ((low & ~high & SECOND_BIT) != 0) {
+                code = (code & TOP_BIT) | ((code << 1) & HALF_MASK);
+                low = (low << 1) & HALF_MASK;
+                high = ((high << 1) & HALF_MASK) | TOP_BIT | 1;
+            } else {
+                break;
+            }
+            if (pos == end) {
+                status = BS_EXHAUSTED;
+                break;
+            }
+            code |= BIT(pos);
+            pos++;
+        }
+        if (status == BS_OK && (code < low || code > high))
+            status = BS_DESYNC;
+        if (status != BS_OK)
+            break;
+        if (n == cap) {
+            uint64_t want = cap ? 2 * cap : 4096;
+            if (want > count)
+                want = count;
+            uint8_t *next = realloc(buf, want);
+            if (next == NULL) {
+                status = BS_NO_MEMORY;
+                break;
+            }
+            buf = next;
+            cap = want;
+        }
+        buf[n] = (uint8_t)s;
+        model_update(freq, &total, alphabet, s);
+    }
+#undef BIT
+    if (status != BS_OK) {
+        free(buf);
+        buf = NULL;
+        n = 0;
+    }
+    *out = buf;
+    *n_out = n;
+    return status;
+}
+
+void bs_free(uint8_t *buf) {
+    free(buf);
+}

@@ -1,8 +1,8 @@
 """Bit-exact adaptive entropy coding for location maps.
 
 The coder is a 32-bit integer arithmetic coder (Witten, Neal and Cleary,
-CACM 1987), written as two plain loops with local state: compress() and
-decompress(). An interval (low, high) is narrowed symbol by symbol and
+CACM 1987), written as two plain loops with local state: _encode_py() and
+_decode_py(). An interval (low, high) is narrowed symbol by symbol and
 renormalized one bit at a time. Carries are handled with pending-bit
 bookkeeping: while the interval straddles the midpoint, bits cannot be
 decided yet, so their count is parked and flushed (inverted) together with
@@ -18,9 +18,19 @@ per-symbol counts start at 1, grow by 32 per coded symbol, and all counts
 are halved (floor 1) when the updated count reaches 2**16. Symbols are
 consumed in raster order. Everything is deterministic, so equal maps
 always produce byte-identical streams.
+
+_coder.c is the same two loops in C, with the same integer transitions.
+On import it is compiled once per source digest into
+__pycache__/_coder-<digest>.so next to this file and loaded with ctypes;
+compress() and decompress() run it when it loads and the Python loops
+otherwise (no compiler, a read-only directory, a load error).
 """
 
+import ctypes
+import hashlib
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,11 @@ _HALF_MASK = _FULL_MASK >> 1
 _SECOND_BIT = _TOP_BIT >> 1
 _MODEL_INCREMENT = 32
 _MODEL_CAP = 1 << 16
+_DESYNCHRONIZED = "decoder state desynchronized"
+_EXHAUSTED = "compressed map exhausted mid-decode"
+_KERNEL_ERRORS = {1: _DESYNCHRONIZED, 2: _EXHAUSTED}
+_KERNEL_NO_MEMORY = 3
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coder.c")
 
 MAP_MAGIC = b"LM"
 _CONTAINER_HEADER = struct.Struct(">2sBIII")
@@ -72,19 +87,14 @@ def _halved(freq):
     return [(f + 1) >> 1 for f in freq]
 
 
-def compress(locmap):
-    """Entropy-code a location map; equal maps give byte-identical output."""
-    if not isinstance(locmap, LocationMap):
-        raise ValidationError("expected a LocationMap")
-    symbols = locmap.symbols
-    height, width = symbols.shape
-    if symbols.size == 0:
-        return CompressedMap(locmap.alphabet_size, width, height, 0, b"")
-    freq = [1] * locmap.alphabet_size
-    total = locmap.alphabet_size
+def _encode_py(symbols, alphabet_size):
+    """The encode loop in Python: (bit_length, data) for a flat uint8 array
+    of symbols. The fallback when the kernel is absent, and its reference."""
+    freq = [1] * alphabet_size
+    total = alphabet_size
     low, high, pending = 0, _FULL_MASK, 0
     bits = []
-    for s in symbols.ravel().tolist():
+    for s in symbols.tolist():
         cum = sum(freq[:s])
         span = high - low + 1
         high = low + (span * (cum + freq[s])) // total - 1
@@ -113,34 +123,29 @@ def compress(locmap):
     # coded value inside the final interval.
     bits.append(1)
     bits.extend([0] * pending)
-    data = np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
-    return CompressedMap(locmap.alphabet_size, width, height, len(bits), data)
+    return len(bits), np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
 
 
-def decompress(cmap):
-    """Invert compress(); corrupted or truncated streams raise CorruptionError."""
-    if not isinstance(cmap, CompressedMap):
-        raise ValidationError("expected a CompressedMap")
-    count = cmap.width * cmap.height
-    shape = (cmap.height, cmap.width)
-    if count == 0:
-        return LocationMap(np.zeros(shape, dtype=np.uint8), cmap.alphabet_size)
-    stream = np.unpackbits(np.frombuffer(cmap.data, dtype=np.uint8), count=cmap.bit_length)
+def _decode_py(data, bit_length, count, alphabet_size):
+    """The decode loop in Python: the count symbols coded in the first
+    bit_length bits of data, as bytes. The fallback when the kernel is
+    absent, and its reference."""
+    stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=bit_length)
     bits = stream.tolist() + [0] * _STATE_BITS
     end = len(bits)
     code = 0
     for bit in bits[:_STATE_BITS]:
         code = (code << 1) | bit
     pos = _STATE_BITS
-    freq = [1] * cmap.alphabet_size
-    total = cmap.alphabet_size
+    freq = [1] * alphabet_size
+    total = alphabet_size
     low, high = 0, _FULL_MASK
     out = bytearray()
     for _ in range(count):
         span = high - low + 1
         value = ((code - low + 1) * total - 1) // span
         if not 0 <= value < total:
-            raise CorruptionError("decoder state desynchronized")
+            raise CorruptionError(_DESYNCHRONIZED)
         s, cum = 0, 0
         while cum + freq[s] <= value:
             cum += freq[s]
@@ -159,17 +164,117 @@ def decompress(cmap):
             else:
                 break
             if pos == end:
-                raise CorruptionError("compressed map exhausted mid-decode")
+                raise CorruptionError(_EXHAUSTED)
             code |= bits[pos]
             pos += 1
         if not low <= code <= high:
-            raise CorruptionError("decoder state desynchronized")
+            raise CorruptionError(_DESYNCHRONIZED)
         out.append(s)
         freq[s] += _MODEL_INCREMENT
         total += _MODEL_INCREMENT
         if freq[s] >= _MODEL_CAP:
             freq = _halved(freq)
             total = sum(freq)
+    return bytes(out)
+
+
+def _kernel_coder(lib):
+    """(encode, decode) calling the compiled kernel in lib, with the
+    signatures and results of _encode_py and _decode_py."""
+    lib.bs_encode.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p]
+    lib.bs_encode.restype = ctypes.c_uint64
+    lib.bs_decode.argtypes = [
+        ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int,
+        ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_uint64),
+    ]
+    lib.bs_decode.restype = ctypes.c_int
+    lib.bs_free.argtypes = [ctypes.c_void_p]
+    lib.bs_free.restype = None
+
+    def encode(symbols, alphabet_size):
+        symbols = np.ascontiguousarray(symbols, dtype=np.uint8)
+        # 4 bytes per symbol plus one is the output bound proved in _coder.c.
+        out = np.zeros(4 * symbols.size + 1, dtype=np.uint8)
+        bit_length = lib.bs_encode(symbols.ctypes.data, symbols.size, alphabet_size, out.ctypes.data)
+        return bit_length, out[: (bit_length + 7) // 8].tobytes()
+
+    def decode(data, bit_length, count, alphabet_size):
+        # CompressedMap has checked that data holds bit_length bits.
+        stream = np.frombuffer(data, dtype=np.uint8)
+        buf, n = ctypes.c_void_p(), ctypes.c_uint64()
+        status = lib.bs_decode(stream.ctypes.data, bit_length, count, alphabet_size,
+                               ctypes.byref(buf), ctypes.byref(n))
+        if status == _KERNEL_NO_MEMORY:
+            raise MemoryError("no memory for the decoded map")
+        if status:
+            raise CorruptionError(_KERNEL_ERRORS[status])
+        try:
+            return ctypes.string_at(buf, n.value)
+        finally:
+            lib.bs_free(buf)
+
+    return encode, decode
+
+
+def _compile_kernel(path):
+    """Compile _coder.c into path, through a temporary file beside it."""
+    import subprocess  # only a cache miss needs it, and it costs 0.5 MB of RSS
+
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix="_coder-", suffix=".tmp", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        done = subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _KERNEL_SOURCE],
+                              capture_output=True)
+        if done.returncode != 0:
+            raise OSError(f"cc exited with status {done.returncode}")
+        os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+        # atomic, so processes compiling at once never load a torn file
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load_coder(cache_dir):
+    """(encode, decode) from the compiled kernel cached in cache_dir as
+    _coder-<source digest>.so, compiling _coder.c there first if that file
+    is missing; the Python loops if the kernel cannot be built or loaded."""
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+        path = os.path.join(cache_dir, f"_coder-{digest}.so")
+        if not os.path.exists(path):
+            _compile_kernel(path)
+        return _kernel_coder(ctypes.CDLL(path))
+    except OSError:
+        return _encode_py, _decode_py
+
+
+_encode, _decode = _load_coder(os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
+
+
+def compress(locmap):
+    """Entropy-code a location map; equal maps give byte-identical output."""
+    if not isinstance(locmap, LocationMap):
+        raise ValidationError("expected a LocationMap")
+    symbols = locmap.symbols
+    height, width = symbols.shape
+    if symbols.size == 0:
+        return CompressedMap(locmap.alphabet_size, width, height, 0, b"")
+    bit_length, data = _encode(symbols.ravel(), locmap.alphabet_size)
+    return CompressedMap(locmap.alphabet_size, width, height, bit_length, data)
+
+
+def decompress(cmap):
+    """Invert compress(); corrupted or truncated streams raise CorruptionError."""
+    if not isinstance(cmap, CompressedMap):
+        raise ValidationError("expected a CompressedMap")
+    count = cmap.width * cmap.height
+    shape = (cmap.height, cmap.width)
+    if count == 0:
+        return LocationMap(np.zeros(shape, dtype=np.uint8), cmap.alphabet_size)
+    out = _decode(cmap.data, cmap.bit_length, count, cmap.alphabet_size)
     return LocationMap(np.frombuffer(out, dtype=np.uint8).reshape(shape), cmap.alphabet_size)
 
 

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.resources
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,12 +23,30 @@ from boundshift import (
     forward,
     serialize_map,
 )
+from boundshift import codec
 from boundshift.fixtures import _blobs, _pooled_field
 
 # Frozen container bytes for the map [[0,1,2],[2,2,2]] over alphabet 3:
 # 'LM', alphabet-1 = 02, width 3, height 2, 16 coded bits, payload 0x52E5.
 GOLDEN_MAP = LocationMap(np.array([[0, 1, 2], [2, 2, 2]]), 3)
 GOLDEN_BYTES = bytes.fromhex("4c4d0200000003000000020000001052e5")
+
+# The coder compress() and decompress() run, taken before any test swaps it:
+# the compiled kernel when it loaded, else the Python loops.
+PYTHON_CODER = (codec._encode_py, codec._decode_py)
+KERNEL_CODER = (codec._encode, codec._decode)
+needs_kernel = pytest.mark.skipif(
+    KERNEL_CODER == PYTHON_CODER,
+    reason="the compiled coder did not load (no C compiler, or its cache directory is read-only)",
+)
+
+
+@pytest.fixture(params=["python", pytest.param("kernel", marks=needs_kernel)])
+def coder(request, monkeypatch):
+    """Run compress() and decompress() through one implementation."""
+    encode, decode = PYTHON_CODER if request.param == "python" else KERNEL_CODER
+    monkeypatch.setattr(codec, "_encode", encode)
+    monkeypatch.setattr(codec, "_decode", decode)
 
 
 def test_golden_container_bytes():
@@ -63,7 +84,7 @@ def test_golden_container_decodes():
         4061, "2990af3d35b13fe46bd65864d9f8a8d36e37a93570321bcabebca0002ef8928d",
         id="baseline-blobs-64"),
 ])
-def test_coded_bytes_are_pinned(make_cmap, bit_length, digest):
+def test_coded_bytes_are_pinned(coder, make_cmap, bit_length, digest):
     cmap = make_cmap()
     assert cmap.bit_length == bit_length
     assert hashlib.sha256(serialize_map(cmap)).hexdigest() == digest
@@ -184,3 +205,105 @@ def test_oversized_declared_map_runs_out_of_stream():
     # stream runs out
     with pytest.raises(CorruptionError, match="exhausted"):
         decompress(CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00"))
+
+
+def _test_map(rng, kind, alphabet, h, w):
+    """A uniform, skewed (97% one symbol, like real maps) or constant map."""
+    if kind == "uniform":
+        return rng.integers(0, alphabet, (h, w))
+    symbols = np.full((h, w), rng.integers(0, alphabet))
+    if kind == "skewed":
+        hits = rng.random((h, w)) < 0.03
+        symbols[hits] = rng.integers(0, alphabet, int(hits.sum()))
+    return symbols
+
+
+MAP_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["uniform", "skewed", "constant"]),
+    alphabet=st.integers(2, 256),
+    h=st.integers(1, 64),
+    w=st.integers(1, 64),
+)
+
+
+@needs_kernel
+@settings(max_examples=100, deadline=None)
+@given(**MAP_CASES)
+def test_kernel_codes_the_same_map_as_python(seed, kind, alphabet, h, w):
+    m = LocationMap(_test_map(default_rng(seed), kind, alphabet, h, w), alphabet)
+    maps = [CompressedMap(alphabet, w, h, *encode(m.symbols.ravel(), alphabet))
+            for encode, _ in (PYTHON_CODER, KERNEL_CODER)]
+    assert maps[0] == maps[1]
+    assert KERNEL_CODER[1](maps[0].data, maps[0].bit_length, h * w, alphabet) == m.symbols.tobytes()
+
+
+def _decode_outcome(decode, cmap):
+    try:
+        return decode(cmap.data, cmap.bit_length, cmap.width * cmap.height, cmap.alphabet_size)
+    except CorruptionError as exc:
+        return f"CorruptionError: {exc}"
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(damage=st.sampled_from(["truncated", "random", "mutated"]), **MAP_CASES)
+def test_kernel_and_python_decode_damaged_streams_alike(damage, seed, kind, alphabet, h, w):
+    rng = default_rng(seed)
+    bit_length, data = PYTHON_CODER[0](_test_map(rng, kind, alphabet, h, w).ravel(), alphabet)
+    if damage == "truncated":
+        bit_length = int(rng.integers(0, bit_length))
+        data = data[: (bit_length + 7) // 8]
+    elif damage == "random":
+        data = rng.bytes(int(rng.integers(0, 64)))
+        bit_length = max(0, 8 * len(data) - int(rng.integers(0, 8)))
+    else:
+        data = bytearray(data)  # left mutable: both decoders take any buffer
+        for at in rng.integers(0, len(data), int(rng.integers(1, 4))):
+            data[at] ^= int(rng.integers(1, 256))
+    cmap = CompressedMap(alphabet, w, h, bit_length, data)
+    assert _decode_outcome(KERNEL_CODER[1], cmap) == _decode_outcome(PYTHON_CODER[1], cmap)
+
+
+@needs_kernel
+def test_reimport_loads_the_cached_kernel_without_compiling(monkeypatch):
+    # the way bench/run.py re-imports the package for each of its set-ups
+    def compiler(*args, **kwargs):
+        raise AssertionError(f"the compiler ran on re-import: {args}")
+
+    monkeypatch.setattr(subprocess, "run", compiler)
+    for name in [m for m in sys.modules if m == "boundshift" or m.startswith("boundshift.")]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("boundshift.codec")
+    assert fresh is not codec
+    assert fresh._encode is not fresh._encode_py
+
+
+def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    encode, decode = codec._load_coder(str(cache))
+    assert (encode, decode) == PYTHON_CODER
+    assert list(cache.iterdir()) == []
+    monkeypatch.setattr(codec, "_encode", encode)
+    monkeypatch.setattr(codec, "_decode", decode)
+    assert serialize_map(compress(GOLDEN_MAP)) == GOLDEN_BYTES
+    m = LocationMap(default_rng(7).integers(0, 5, (20, 20)), 5)
+    assert np.array_equal(decompress(compress(m)).symbols, m.symbols)
+
+
+@needs_kernel
+def test_loader_compiles_into_an_empty_cache(tmp_path):
+    encode, decode = codec._load_coder(str(tmp_path))
+    assert (encode, decode) != PYTHON_CODER
+    [built] = tmp_path.iterdir()
+    assert built.name.startswith("_coder-") and built.suffix == ".so"
+    assert len(built.stem) == len("_coder-") + 16
+    bit_length, data = encode(GOLDEN_MAP.symbols.ravel(), 3)
+    assert (bit_length, data) == (16, GOLDEN_BYTES[-2:])
+    assert decode(data, bit_length, 6, 3) == GOLDEN_MAP.symbols.tobytes()
+
+
+def test_kernel_source_ships_with_the_package():
+    assert (importlib.resources.files("boundshift") / "_coder.c").is_file()
