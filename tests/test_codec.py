@@ -65,7 +65,7 @@ def test_golden_container_decodes():
 # its counts (constant: 3 times; dark cover: 14 times), plus the widest
 # alphabet and a binary baseline map. GOLDEN_BYTES is too short to reach a
 # halving, so these pin the rest of the coder's arithmetic.
-@pytest.mark.parametrize("make_cmap, bit_length, digest", [
+PINNED_MAPS = [
     pytest.param(
         lambda: compress(LocationMap(np.full((64, 64), 2), 3)),
         3, "b9cf73900cd9bfb5fad81de853bb8b4f17eca2d2d83269193cdd9cc17f1e375a",
@@ -83,12 +83,25 @@ def test_golden_container_decodes():
         lambda: compress_binary_baseline(_blobs(default_rng(6), 64, 64, 0.45), 1),
         4061, "2990af3d35b13fe46bd65864d9f8a8d36e37a93570321bcabebca0002ef8928d",
         id="baseline-blobs-64"),
-])
-def test_coded_bytes_are_pinned(coder, make_cmap, bit_length, digest):
+]
+
+
+def _check_pinned(make_cmap, bit_length, digest):
     cmap = make_cmap()
     assert cmap.bit_length == bit_length
     assert hashlib.sha256(serialize_map(cmap)).hexdigest() == digest
     assert compress(decompress(cmap)) == cmap
+
+
+@pytest.mark.parametrize("make_cmap, bit_length, digest", PINNED_MAPS)
+def test_coded_bytes_are_pinned(make_cmap, bit_length, digest):
+    """The coder compress() runs by default: the kernel when it loaded."""
+    _check_pinned(make_cmap, bit_length, digest)
+
+
+@pytest.mark.parametrize("make_cmap, bit_length, digest", PINNED_MAPS)
+def test_coded_bytes_are_pinned_per_coder(coder, make_cmap, bit_length, digest):
+    _check_pinned(make_cmap, bit_length, digest)
 
 
 def test_compress_is_deterministic():
