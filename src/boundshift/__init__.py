@@ -14,14 +14,7 @@ from .codec import (
     deserialize_map,
     serialize_map,
 )
-from .embedder import (
-    FRAME_HEADER_BITS,
-    PredictionErrorEmbedder,
-    bits_to_bytes,
-    bytes_to_bits,
-    deframe_payload,
-    frame_payload,
-)
+from .embedder import PredictionErrorEmbedder
 from .errors import (
     BoundShiftError,
     CapacityError,
@@ -29,12 +22,7 @@ from .errors import (
     PgmFormatError,
     ValidationError,
 )
-from .imagecore import (
-    LocationMap,
-    count_boundary_pixels,
-    parity_mask,
-    psnr,
-)
+from .imagecore import LocationMap, count_boundary_pixels, psnr
 from .pgm import load_pgm, read_pgm, save_pgm, write_pgm
 from .pipeline import (
     EmbedResult,
@@ -46,14 +34,7 @@ from .pipeline import (
     max_payload_baseline,
     sweep,
 )
-from .predictor import predict_grid
-from .preprocess import (
-    PreprocessOutput,
-    PreprocessParams,
-    boundary_count_after,
-    forward,
-    inverse,
-)
+from .preprocess import PreprocessOutput, PreprocessParams, forward, inverse
 
 __version__ = "0.1.0"
 
@@ -63,7 +44,6 @@ __all__ = [
     "CompressedMap",
     "CorruptionError",
     "EmbedResult",
-    "FRAME_HEADER_BITS",
     "LocationMap",
     "PgmFormatError",
     "PredictionErrorEmbedder",
@@ -71,26 +51,19 @@ __all__ = [
     "PreprocessParams",
     "SweepRecord",
     "ValidationError",
-    "bits_to_bytes",
-    "boundary_count_after",
-    "bytes_to_bits",
     "compress",
     "compress_binary_baseline",
     "count_boundary_pixels",
     "decompress",
-    "deframe_payload",
     "deserialize_map",
     "embed_full",
     "evaluate_cell",
     "extract_full",
     "forward",
-    "frame_payload",
     "inverse",
     "load_pgm",
     "max_payload",
     "max_payload_baseline",
-    "parity_mask",
-    "predict_grid",
     "psnr",
     "read_pgm",
     "save_pgm",

@@ -20,17 +20,17 @@ consumed in raster order. Everything is deterministic, so equal maps
 always produce byte-identical streams.
 
 _coder.c is the same two loops in C, with the same integer transitions.
-On import it is compiled once per source digest into
-__pycache__/_coder-<digest>.so next to this file and loaded with ctypes;
+On import it is compiled once per source CRC-32 into
+__pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).
 """
 
 import ctypes
-import hashlib
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,12 +238,14 @@ def _compile_kernel(path):
 
 def _load_coder(cache_dir):
     """(encode, decode) from the compiled kernel cached in cache_dir as
-    _coder-<source digest>.so, compiling _coder.c there first if that file
-    is missing; the Python loops if the kernel cannot be built or loaded."""
+    _coder-<source CRC-32>.so, compiling _coder.c there first if that file
+    is missing; the Python loops if the kernel cannot be built or loaded.
+    A CRC-32 names the source well enough for a cache, and zlib is already
+    loaded where hashlib would pull in OpenSSL."""
     try:
         with open(_KERNEL_SOURCE, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()[:16]
-        path = os.path.join(cache_dir, f"_coder-{digest}.so")
+            digest = zlib.crc32(fh.read())
+        path = os.path.join(cache_dir, f"_coder-{digest:08x}.so")
         if not os.path.exists(path):
             _compile_kernel(path)
         return _kernel_coder(ctypes.CDLL(path))

@@ -52,7 +52,7 @@ def as_bits(bits):
     a = np.asarray(bits)
     if a.ndim != 1:
         raise ValidationError(f"bit stream must be 1-D, got shape {a.shape}")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if a.size and not ((a == 0) | (a == 1)).all():
         raise ValidationError("bit stream values must be 0 or 1")
     return a.astype(np.uint8)
 
@@ -64,18 +64,23 @@ class PredictionErrorEmbedder:
     max_shift = 1
 
     def _even_errors(self, grid):
-        a = grid.astype(np.int64)
-        pred = predict_grid(a)
-        even = parity_mask(a.shape[0], a.shape[1], 0)
+        """(flat indices of the even cells, their prediction errors as int32,
+        their predictions) for a uint8 grid."""
+        pred = predict_grid(grid)
+        even = parity_mask(grid.shape[0], grid.shape[1], 0)
         idx = np.flatnonzero(even.ravel())
-        errors = a.ravel()[idx] - pred.ravel()[idx]
-        return idx, errors, pred
+        pred = pred.ravel()[idx]
+        return idx, grid.ravel()[idx] - pred, pred
 
     def capacity(self, img):
         """Number of payload bits img can carry."""
         a = as_gray(img)
         _, errors, _ = self._even_errors(a)
         return int(((errors == 0) | (errors == -1)).sum())
+
+    # Masks select cells through np.flatnonzero and the bits shift through
+    # arithmetic on comparisons: masked indexing branches on every cell and
+    # costs several times more on these scattered patterns.
 
     def embed(self, img, bits):
         """Return a marked image carrying bits, unused carriers filled with zeros."""
@@ -84,41 +89,33 @@ class PredictionErrorEmbedder:
         if a.size and (int(a.min()) < 1 or int(a.max()) > 254):
             raise ValidationError("embedding needs pixels in [1, 254]")
         idx, errors, pred = self._even_errors(a)
-        carrier = (errors == 0) | (errors == -1)
-        room = int(carrier.sum())
+        carriers = np.flatnonzero((errors == 0) | (errors == -1))
+        room = carriers.size
         if payload.size > room:
             raise CapacityError(
                 f"payload of {payload.size} bits exceeds capacity {room}",
                 deficit_bits=payload.size - room,
             )
-        fill = np.zeros(room, dtype=np.int64)
+        fill = np.zeros(room, dtype=np.int32)
         fill[: payload.size] = payload
-        coded = errors.copy()
-        coded[errors >= 1] += 1
-        coded[errors <= -2] -= 1
-        at_zero = errors[carrier] == 0
-        coded[carrier] = np.where(at_zero, fill, -1 - fill)
-        flat = a.astype(np.int64).ravel()
-        flat[idx] = pred.ravel()[idx] + coded
-        return flat.reshape(a.shape).astype(np.uint8)
+        coded = errors + (errors >= 1) - (errors <= -2)
+        coded[carriers] = np.where(errors[carriers] == 0, fill, -1 - fill)
+        flat = a.flatten()
+        flat[idx] = pred + coded
+        return flat.reshape(a.shape)
 
     def extract(self, marked):
         """Return (full carrier bit stream, original image)."""
         a = as_gray(marked)
         idx, coded, pred = self._even_errors(a)
-        carrier = (coded >= -2) & (coded <= 1)
-        c = coded[carrier]
+        c = coded[np.flatnonzero((coded >= -2) & (coded <= 1))]
         bits = np.where(c >= 0, c, -(c + 1)).astype(np.uint8)
-        errors = coded.copy()
-        errors[(coded == 1)] = 0
-        errors[(coded == -2)] = -1
-        errors[coded >= 2] -= 1
-        errors[coded <= -3] += 1
-        flat = a.astype(np.int64).ravel()
-        flat[idx] = pred.ravel()[idx] + errors
-        if int(flat.min()) < 0 or int(flat.max()) > 255:
+        restored = pred + (coded - (coded >= 1) + (coded <= -2))
+        if int(restored.min()) < 0 or int(restored.max()) > 255:
             raise CorruptionError("recovered pre-embedding image leaves [0, 255]")
-        return bits, flat.reshape(a.shape).astype(np.uint8)
+        flat = a.flatten()
+        flat[idx] = restored
+        return bits, flat.reshape(a.shape)
 
 
 def frame_payload(payload, cmap, params, checksum):

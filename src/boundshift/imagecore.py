@@ -1,5 +1,6 @@
 """Grid primitives: image validation, checkerboard parity, boundary census, PSNR."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,12 +35,20 @@ def validate_shift_width(shift):
 
 
 def parity_mask(height, width, parity):
-    """Boolean mask selecting all cells of one checkerboard parity."""
+    """Boolean mask selecting all cells of one checkerboard parity; read-only,
+    as it is shared by every caller asking for the same grid."""
     if parity not in (0, 1):
         raise ValidationError(f"parity must be 0 or 1, got {parity!r}")
+    return _parity_mask(int(height), int(width), int(parity))
+
+
+@functools.lru_cache(maxsize=8)
+def _parity_mask(height, width, parity):
     ii = np.arange(height)[:, None]
     jj = np.arange(width)[None, :]
-    return ((ii + jj) & 1) == parity
+    mask = ((ii + jj) & 1) == parity
+    mask.flags.writeable = False
+    return mask
 
 
 def boundary_mask(img, shift):

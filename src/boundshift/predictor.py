@@ -6,21 +6,32 @@ pass data-parallel: predict_grid computes every cell at once. The mean is
 rounded to the nearest integer with ties away from zero, in integer
 arithmetic; tests/oracle_predict.py holds the per-cell reference that
 predict_grid is checked against.
+
+Every cell off the border has four neighbors, so its mean is a 2-bit shift
+of an int32 sum; only the border ring (two or three neighbors, or one on a
+single-row or single-column grid) divides by its true count.
 """
 
 import numpy as np
 
 from .errors import ValidationError
 
+# Bound on |value| that keeps the int32 arithmetic exact: four neighbors
+# plus the rounding offset stay within 2**30 + 2, and twice a border total
+# of three neighbors plus its count within 1.5 * 2**30 + 3.
+_LIMIT = 1 << 28
 
-def predict_grid(img):
-    """Predictions for every cell at once; int64 grid, same shape as img."""
-    a = np.asarray(img, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a 2-D grid, got shape {a.shape}")
+
+def _round_half_away(total, count):
+    """total / count rounded to the nearest integer, ties away from zero."""
+    return (2 * np.abs(total) + count) // (2 * count) * np.sign(total)
+
+
+def _thin(a):
+    """Predictions for a grid with fewer than three rows or columns, where
+    every cell is on the border and neighbor counts vary along it."""
     h, w = a.shape
-    if h == 1 and w == 1:
-        raise ValidationError("1x1 grid has no neighbors to predict from")
+    a = a.astype(np.int64)
     total = np.zeros((h, w), dtype=np.int64)
     count = np.zeros((h, w), dtype=np.int64)
     total[1:, :] += a[:-1, :]
@@ -31,6 +42,48 @@ def predict_grid(img):
     count[:, 1:] += 1
     total[:, :-1] += a[:, 1:]
     count[:, :-1] += 1
-    pos = (2 * total + count) // (2 * count)
-    neg = -((-2 * total + count) // (2 * count))
-    return np.where(total >= 0, pos, neg)
+    return _round_half_away(total, count).astype(np.int32)
+
+
+def predict_grid(img):
+    """Predictions for every cell at once; int32 grid, same shape as img.
+
+    Values of magnitude above 2**28 raise ValidationError rather than
+    overflow the int32 arithmetic.
+    """
+    a = np.asarray(img)
+    if a.ndim != 2:
+        raise ValidationError(f"expected a 2-D grid, got shape {a.shape}")
+    h, w = a.shape
+    if h == 1 and w == 1:
+        raise ValidationError("1x1 grid has no neighbors to predict from")
+    if not np.issubdtype(a.dtype, np.integer):
+        a = a.astype(np.int64)
+    if a.dtype.itemsize > 2:
+        if a.size and (int(a.min()) < -_LIMIT or int(a.max()) > _LIMIT):
+            raise ValidationError("grid values must lie in [-2**28, 2**28] to predict")
+        a = a.astype(np.int32)
+    if h < 3 or w < 3:
+        return _thin(a)
+    total = np.zeros((h, w), dtype=np.int32)
+    total[1:] += a[:-1]
+    total[:-1] += a[1:]
+    total[:, 1:] += a[:, :-1]
+    total[:, :-1] += a[:, 1:]
+    # The border ring, row 0, row h-1, then columns 0 and w-1 between them:
+    # three neighbors each, two at the corners.
+    ring = np.concatenate((total[0], total[-1], total[1:-1, 0], total[1:-1, -1]))
+    count = np.full(ring.size, 3, dtype=np.int32)
+    count[[0, w - 1, w, 2 * w - 1]] = 2
+    ring = _round_half_away(ring, count)
+    # Inside, four neighbors: (total + 2) >> 2 rounds halves up, and one
+    # less for a negative total (total >> 31 is -1) rounds them down, so
+    # ties go away from zero.
+    inner = total[1:-1, 1:-1]
+    sign = inner >> 31
+    inner += 2
+    inner += sign
+    inner >>= 2
+    total[0], total[-1] = ring[:w], ring[w:2 * w]
+    total[1:-1, 0], total[1:-1, -1] = ring[2 * w:2 * w + h - 2], ring[2 * w + h - 2:]
+    return total

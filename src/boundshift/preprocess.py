@@ -14,6 +14,9 @@ decoder can re-derive the exact same predictions from the shifted grid and
 undo both passes, recovering the cover bit for bit. Clamped-away pixels
 (map symbol != 2*shift) are the ones that remain boundary-valued; counting
 them is the post-transform boundary census.
+
+Each pass moves a value by at most shift <= 127, so every work grid lies in
+[-254, 509] and is held as int16.
 """
 
 from dataclasses import dataclass
@@ -58,10 +61,12 @@ def _threshold_shift(grid, parity, threshold, shift, direction):
     predictions."""
     pred = predict_grid(grid)
     cells = parity_mask(grid.shape[0], grid.shape[1], parity)
-    out = grid.copy()
-    out[cells & (pred < threshold)] += direction * shift
-    out[cells & (pred > 255 - threshold)] -= direction * shift
-    return out
+    # 1 on cells that move up, -1 on cells that move down, 0 elsewhere: an
+    # add, where a masked += would branch on every cell
+    step = (cells & (pred < threshold)).view(np.int8)
+    step -= (cells & (pred > 255 - threshold)).view(np.int8)
+    step *= direction * shift
+    return grid + step
 
 
 def _check_size(a):
@@ -77,12 +82,12 @@ def forward(cover, params):
     if not isinstance(params, PreprocessParams):
         raise ValidationError("params must be a PreprocessParams")
     t = params.shift
-    work = a.astype(np.int64)
+    work = a.astype(np.int16)
     pass_even = _threshold_shift(work, 0, params.t_even, t, +1)
     pass_odd = _threshold_shift(pass_even, 1, params.t_odd, t, +1)
 
     clamped = np.clip(pass_odd, t, 255 - t)
-    symbols = np.full(a.shape, 2 * t, dtype=np.int64)
+    symbols = np.full(a.shape, 2 * t, dtype=np.uint8)
     below = pass_odd < t
     above = pass_odd > 255 - t
     symbols[below] = pass_odd[below] + t
@@ -105,7 +110,7 @@ def _unclamp(shifted, symbols, shift):
             f"map marks cell ({i}, {j}) as clamped but its value "
             f"{int(shifted[i, j])} is not an interior-range endpoint"
         )
-    grid = shifted.astype(np.int64)
+    grid = shifted.astype(np.int16)
     lo = marked & at_low
     hi = marked & at_high
     grid[lo] = symbols[lo] - t
@@ -133,7 +138,7 @@ def inverse(shifted, locmap, params):
     if a.size and (int(a.min()) < t or int(a.max()) > 255 - t):
         raise CorruptionError(f"shifted image has pixels outside [{t}, {255 - t}]")
 
-    grid = _unclamp(a, locmap.symbols.astype(np.int64), t)
+    grid = _unclamp(a, locmap.symbols.astype(np.int16), t)
     undo_odd = _threshold_shift(grid, 1, params.t_odd, t, -1)
     undo_even = _threshold_shift(undo_odd, 0, params.t_even, t, -1)
     if int(undo_even.min()) < 0 or int(undo_even.max()) > 255:

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.resources
 import math
+import os
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -312,10 +315,85 @@ def test_loader_compiles_into_an_empty_cache(tmp_path):
     assert (encode, decode) != PYTHON_CODER
     [built] = tmp_path.iterdir()
     assert built.name.startswith("_coder-") and built.suffix == ".so"
-    assert len(built.stem) == len("_coder-") + 16
+    assert len(built.stem) == len("_coder-") + 8
     bit_length, data = encode(GOLDEN_MAP.symbols.ravel(), 3)
     assert (bit_length, data) == (16, GOLDEN_BYTES[-2:])
     assert decode(data, bit_length, 6, 3) == GOLDEN_MAP.symbols.tobytes()
+
+
+@needs_kernel
+def test_import_with_a_cached_kernel_leaves_out_hashlib():
+    # hashlib loads OpenSSL, several MB of RSS in every CLI process
+    src = os.path.dirname(os.path.dirname(codec.__file__))
+    probe = "import sys, boundshift; print('hashlib' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def _damaged_corpus(rng, n):
+    """n maps with their Python coding, and their coded streams, three in
+    four of them truncated, replaced by random bytes or mutated, plus a
+    stream declaring more cells than it can hold."""
+    maps, streams = [], [CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00")]
+    for k in range(n):
+        kind = ("uniform", "skewed", "constant")[k % 3]
+        alphabet, h, w = int(rng.integers(2, 257)), int(rng.integers(1, 65)), int(rng.integers(1, 65))
+        symbols = _test_map(rng, kind, alphabet, h, w).astype(np.uint8)
+        bit_length, data = PYTHON_CODER[0](symbols.ravel(), alphabet)
+        maps.append((symbols, alphabet, bit_length, data))
+        damage = k % 4
+        if damage == 1:
+            bit_length = int(rng.integers(0, bit_length))
+            data = data[: (bit_length + 7) // 8]
+        elif damage == 2:
+            data = rng.bytes(int(rng.integers(0, 64)))
+            bit_length = max(0, 8 * len(data) - int(rng.integers(0, 8)))
+        elif damage == 3:
+            data = bytearray(data)
+            for at in rng.integers(0, len(data), int(rng.integers(1, 4))):
+                data[at] ^= int(rng.integers(1, 256))
+            data = bytes(data)
+        streams.append(CompressedMap(alphabet, w, h, bit_length, data))
+    return maps, streams
+
+
+def test_kernel_runs_clean_under_sanitizers(tmp_path):
+    """_coder.c built with AddressSanitizer and UndefinedBehaviorSanitizer
+    codes and decodes a damaged-stream corpus, with no report and with the
+    Python loops' results."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    driver = tmp_path / "coder_driver"
+    here = os.path.dirname(os.path.abspath(__file__))
+    built = subprocess.run(
+        [cc, "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(driver),
+         os.path.join(here, "coder_driver.c"), codec._KERNEL_SOURCE],
+        capture_output=True, text=True)
+    if built.returncode != 0:
+        pytest.skip(f"cc cannot build with -fsanitize=address,undefined: {built.stderr[-300:]}")
+    maps, streams = _damaged_corpus(default_rng(8), 160)
+    records, expected = [], []
+    for symbols, alphabet, bit_length, data in maps:
+        records.append(b"e" + struct.pack("<QI", symbols.size, alphabet) + symbols.tobytes())
+        expected.append(f"e {bit_length} {data.hex()}")
+    statuses = {msg: status for status, msg in codec._KERNEL_ERRORS.items()}
+    for cmap in streams:
+        count = cmap.width * cmap.height
+        records.append(b"d" + struct.pack("<QQII", cmap.bit_length, count, cmap.alphabet_size,
+                                          len(cmap.data)) + cmap.data)
+        try:
+            out = PYTHON_CODER[1](cmap.data, cmap.bit_length, count, cmap.alphabet_size)
+            expected.append(f"d 0 {out.hex()}")
+        except CorruptionError as exc:
+            expected.append(f"d {statuses[str(exc)]} ")
+    env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1"}
+    done = subprocess.run([str(driver)], input=b"".join(records), capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]
+    assert done.stderr == b""
+    assert done.stdout.decode().split("\n")[:-1] == expected
 
 
 def test_kernel_source_ships_with_the_package():

@@ -8,10 +8,13 @@ from boundshift import (
     CapacityError,
     CompressedMap,
     CorruptionError,
-    FRAME_HEADER_BITS,
     PredictionErrorEmbedder,
     PreprocessParams,
     ValidationError,
+)
+from boundshift.embedder import (
+    FRAME_HEADER_BITS,
+    as_bits,
     bits_to_bytes,
     bytes_to_bits,
     deframe_payload,
@@ -226,3 +229,18 @@ def test_frame_rejects_wrong_types():
         frame_payload([0, 2, 1], cmap, PreprocessParams(1, 1, 1), 0)
     with pytest.raises(ValidationError):
         frame_payload([], cmap, PreprocessParams(1, 1, 1), 1 << 32)
+
+
+@pytest.mark.parametrize("bits", [
+    [0, 1, 1], np.array([True, False]), np.array([1.0, 0.0]), np.array([1, 0, 1], dtype=np.uint8),
+])
+def test_as_bits_accepts_zeros_and_ones_of_any_dtype(bits):
+    out = as_bits(bits)
+    assert out.dtype == np.uint8
+    assert out.tolist() == [int(b) for b in bits]
+
+
+@pytest.mark.parametrize("bits", [[0, 2], [-1, 1], [0.5, 1.0], np.array([1, 2], dtype=np.uint8)])
+def test_as_bits_rejects_other_values(bits):
+    with pytest.raises(ValidationError):
+        as_bits(bits)

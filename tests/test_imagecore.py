@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from boundshift import LocationMap, ValidationError, count_boundary_pixels, parity_mask, psnr
+from boundshift import LocationMap, ValidationError, count_boundary_pixels, psnr
+from boundshift.imagecore import parity_mask
 from boundshift.imagecore import as_gray, validate_shift_width
 
 from oracle_predict import parity_of
@@ -115,3 +116,10 @@ def test_location_map_validation():
     for alpha in (1, 257):
         with pytest.raises(ValidationError):
             LocationMap(np.zeros((2, 2), dtype=np.uint8), alpha)
+
+
+def test_parity_mask_is_shared_and_read_only():
+    mask = parity_mask(4, 6, 1)
+    assert parity_mask(4, 6, 1) is mask
+    with pytest.raises(ValueError):
+        mask[0, 0] = True

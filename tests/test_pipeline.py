@@ -9,12 +9,10 @@ from numpy.random import default_rng
 from boundshift import (
     CapacityError,
     CorruptionError,
-    FRAME_HEADER_BITS,
     LocationMap,
     PredictionErrorEmbedder,
     PreprocessParams,
     compress,
-    deframe_payload,
     embed_full,
     evaluate_cell,
     extract_full,
@@ -25,6 +23,7 @@ from boundshift import (
     psnr,
     sweep,
 )
+from boundshift.embedder import FRAME_HEADER_BITS, deframe_payload
 from boundshift.fixtures import _pooled_field
 
 from conftest import smooth_image

@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import default_rng
 
-from boundshift import ValidationError, predict_grid
+from boundshift import ValidationError
+from boundshift.predictor import predict_grid
 
 from oracle_predict import predict, round_half_away
 
@@ -81,3 +85,57 @@ def test_predict_rejects_out_of_bounds_and_degenerate():
         predict(img, 2, 0)
     with pytest.raises(ValidationError):
         predict(np.array([[7]]), 0, 0)
+
+
+SHAPES = st.one_of(
+    st.integers(2, 13).map(lambda n: (1, n)),
+    st.integers(2, 13).map(lambda n: (n, 1)),
+    st.just((2, 2)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda k: (2 * k[0] + 1, 2 * k[1] + 1)),
+    st.tuples(st.integers(2, 13), st.integers(2, 13)),
+)
+# Pixels, the range inverse() predicts over, signed values, and values
+# around zero, where negative totals tie on interior and border cells alike.
+SPANS = st.sampled_from([
+    (np.uint8, 0, 255), (np.int16, -254, 509), (np.int64, -300, 300), (np.int16, -3, 1),
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=SHAPES, span=SPANS, data=st.data())
+def test_predict_grid_matches_oracle_cell_by_cell(shape, span, data):
+    dtype, lo, hi = span
+    img = data.draw(arrays(dtype, shape, elements=st.integers(lo, hi)))
+    grid = predict_grid(img)
+    assert grid.shape == img.shape
+    for (i, j), p in np.ndenumerate(grid):
+        assert p == predict(img, i, j), (i, j)
+
+
+@pytest.mark.parametrize("scale, tie", [(1, -1), (3, -2)])
+def test_predict_grid_rounds_negative_ties_away_from_zero(scale, tie):
+    img = scale * np.array([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])
+    grid = predict_grid(img)
+    # centre: four neighbors total -2 (-0.5) or -6 (-1.5); corner (2, 0):
+    # two neighbors total -1 (-0.5) or -3 (-1.5)
+    assert grid[1, 1] == grid[2, 0] == tie
+    assert grid.tolist() == [[predict(img, i, j) for j in range(3)] for i in range(3)]
+
+
+def test_predict_grid_is_exact_at_its_value_limit():
+    rng = default_rng(5)
+    img = rng.choice([-(2**28), 2**28, 2**28 - 1, -(2**28) + 1], (5, 6))
+    grid = predict_grid(img)
+    for (i, j), p in np.ndenumerate(grid):
+        assert p == predict(img, i, j), (i, j)
+
+
+@pytest.mark.parametrize("dtype, value", [
+    (np.int32, 2**31 - 1), (np.int32, -(2**31 - 1)), (np.int64, 2**31 - 1),
+    (np.int64, 2**40), (np.int64, -(2**40)), (np.uint64, 2**64 - 1),
+])
+def test_predict_grid_rejects_values_its_sums_cannot_hold(dtype, value):
+    img = np.zeros((4, 5), dtype=dtype)
+    img[1, 2] = value
+    with pytest.raises(ValidationError):
+        predict_grid(img)

@@ -9,12 +9,11 @@ from boundshift import (
     LocationMap,
     PreprocessParams,
     ValidationError,
-    boundary_count_after,
     count_boundary_pixels,
     forward,
     inverse,
 )
-from boundshift.preprocess import _threshold_shift
+from boundshift.preprocess import _threshold_shift, boundary_count_after
 
 from oracle_handtrace import CASE_A, CASE_B, COVER_3X3
 
