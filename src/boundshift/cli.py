@@ -100,7 +100,7 @@ def cmd_embed(args):
 
 def cmd_extract(args):
     marked = load_pgm(args.image)
-    payload, cover = extract_full(marked)
+    payload, cover = extract_full(marked, legacy_v1=args.legacy_v1)
     with open(args.payload_out, "wb") as fh:
         fh.write(bits_to_bytes(payload))
     save_pgm(args.out, cover, args.flavor)
@@ -300,6 +300,8 @@ def build_parser():
     p.add_argument("image")
     p.add_argument("--payload-out", required=True)
     p.add_argument("--out", required=True, help="recovered cover image (PGM)")
+    p.add_argument("--legacy-v1", action="store_true",
+                   help="also decode a version 1 frame, which carries no checksum")
     _add_flavor(p)
     p.set_defaults(func=cmd_extract)
 

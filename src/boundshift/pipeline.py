@@ -23,7 +23,13 @@ from .embedder import (
 )
 from .errors import CapacityError, CorruptionError, ValidationError
 from .imagecore import as_gray, count_boundary_pixels, psnr, validate_shift_width
-from .preprocess import PreprocessParams, boundary_count_after, forward, inverse
+from .preprocess import (
+    PreprocessParams,
+    _ForwardCache,
+    boundary_count_after,
+    forward,
+    inverse,
+)
 
 _EMBEDDER = PredictionErrorEmbedder()
 _REPORT_PAYLOAD_SEED = 1
@@ -59,9 +65,10 @@ class SweepRecord:
     selected: bool = False
 
 
-def _checksum(cover, payload):
-    """CRC-32 over the cover's raster-order bytes, then the packed payload bits."""
-    return zlib.crc32(np.packbits(payload).tobytes(), zlib.crc32(cover.tobytes()))
+def _checksum(cover_crc, payload):
+    """CRC-32 over the cover's raster-order bytes, then the packed payload
+    bits, continued from cover_crc = zlib.crc32(cover.tobytes())."""
+    return zlib.crc32(np.packbits(payload).tobytes(), cover_crc)
 
 
 def _prepare(cover, params):
@@ -82,7 +89,7 @@ def embed_full(cover, payload, params):
     """Clear boundary pixels, then embed map + payload; returns EmbedResult."""
     bits = as_bits(payload)
     a, out, cmap, room = _prepare(cover, params)
-    framed = frame_payload(bits, cmap, params, _checksum(a, bits))
+    framed = frame_payload(bits, cmap, params, _checksum(zlib.crc32(a.tobytes()), bits))
     if framed.size > room:
         raise CapacityError(
             f"frame of {framed.size} bits exceeds capacity {room} "
@@ -100,13 +107,23 @@ def embed_full(cover, payload, params):
     )
 
 
-def extract_full(marked):
+def extract_full(marked, legacy_v1=False):
     """Blind extraction: returns (payload bits, recovered cover), or raises
-    CorruptionError when they fail the frame's checksum (version 2 frames)."""
+    CorruptionError when they fail the frame's checksum.
+
+    A version 1 frame carries no checksum, and two flipped carrier bits turn
+    a version 2 frame into one, so it is decoded only with legacy_v1=True;
+    otherwise it raises CorruptionError.
+    """
     a = as_gray(marked)
     stream, shifted = _EMBEDDER.extract(a)
     height, width = a.shape
     payload, cmap, params, checksum = deframe_payload(stream, width, height)
+    if checksum is None and not legacy_v1:
+        raise CorruptionError(
+            "version 1 frame: it carries no checksum, so it is decoded only on "
+            "request (legacy_v1=True, extract --legacy-v1)"
+        )
     t = params.shift
     if shifted.size and (int(shifted.min()) < t or int(shifted.max()) > 255 - t):
         raise CorruptionError(
@@ -114,7 +131,7 @@ def extract_full(marked):
         )
     locmap = decompress(cmap)
     cover = inverse(shifted, locmap, params)
-    if checksum is not None and checksum != _checksum(cover, payload):
+    if checksum is not None and checksum != _checksum(zlib.crc32(cover.tobytes()), payload):
         raise CorruptionError("frame checksum does not match the recovered cover and payload")
     return payload, cover
 
@@ -135,21 +152,52 @@ def _payload_for_report(bit_count, t_even, t_odd):
     return rng.integers(0, 2, size=bit_count, dtype=np.uint8)
 
 
-def evaluate_cell(cover, params, before_count=None, before_bits=None):
+def _cover_stats(a, shift):
+    """(boundary census, baseline map bits, CRC-32) of a cover: what every
+    cell of the cover shares."""
+    before_bits = compress_binary_baseline(a, shift).bit_length
+    return count_boundary_pixels(a, shift), before_bits, zlib.crc32(a.tobytes())
+
+
+class _SweepState:
+    """What the cells of one sweep share: the cover's stats, its forward
+    passes, and the last coded map, reused while the map does not change.
+    It holds a fixed number of images, whatever the grid size."""
+
+    def __init__(self, a, shift):
+        self.cover = a
+        self.stats = _cover_stats(a, shift)
+        self.passes = _ForwardCache(a, shift)
+        self.symbols = self.cmap = None
+
+    def compress(self, locmap):
+        if self.symbols is None or not np.array_equal(locmap.symbols, self.symbols):
+            self.symbols, self.cmap = locmap.symbols, compress(locmap)
+        return self.cmap
+
+
+def evaluate_cell(cover, params, state=None):
     """Metrics for one threshold cell; PSNR is measured on a marked image
-    carrying a seeded max-size pseudorandom payload."""
+    carrying a seeded max-size pseudorandom payload. state is sweep's, for
+    this cover and shift width."""
     a = as_gray(cover)
-    if before_count is None:
-        before_count = count_boundary_pixels(a, params.shift)
-    if before_bits is None:
-        before_bits = compress_binary_baseline(a, params.shift).bit_length
-    _, out, cmap, room = _prepare(a, params)
+    if state is None:
+        before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
+        out = forward(a, params)
+        cmap = compress(out.locmap)
+    else:
+        if params.shift != state.passes.shift or not np.array_equal(a, state.cover):
+            raise ValidationError("state was built for another cover or shift width")
+        before_count, before_bits, cover_crc = state.stats
+        out = state.passes.forward(params)
+        cmap = state.compress(out.locmap)
+    room = _EMBEDDER.capacity(out.shifted)
     after_count = boundary_count_after(out)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room >= side_info:
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
-        framed = frame_payload(payload, cmap, params, _checksum(a, payload))
+        framed = frame_payload(payload, cmap, params, _checksum(cover_crc, payload))
         marked = _EMBEDDER.embed(out.shifted, framed)
         quality = psnr(a, marked)
     else:
@@ -171,25 +219,24 @@ def evaluate_cell(cover, params, before_count=None, before_bits=None):
 
 def sweep(cover, t_range, shift):
     """Evaluate every (t_even, t_odd) cell; the record with the highest
-    r_emb is flagged selected, ties resolved to the smallest pair."""
+    r_emb is flagged selected, ties resolved to the smallest pair.
+
+    The cells share one _SweepState and run t_even-major, so the cover is
+    predicted once, each even pass once, and a map equal to the previous
+    cell's is not coded again."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     thresholds = sorted(set(int(v) for v in t_range))
     if not thresholds:
         raise ValidationError("t_range must not be empty")
-    before_count = count_boundary_pixels(a, t)
-    before_bits = compress_binary_baseline(a, t).bit_length
+    # the first cell's thresholds are checked before the cover's size, as
+    # evaluating that cell on its own would
+    PreprocessParams(t, thresholds[0], thresholds[0])
+    state = _SweepState(a, t)
     records = []
     for t_even in thresholds:
         for t_odd in thresholds:
-            records.append(
-                evaluate_cell(
-                    a,
-                    PreprocessParams(t, t_even, t_odd),
-                    before_count,
-                    before_bits,
-                )
-            )
+            records.append(evaluate_cell(a, PreprocessParams(t, t_even, t_odd), state))
     best = 0
     for k, rec in enumerate(records):
         if rec.r_emb > records[best].r_emb:

@@ -55,11 +55,9 @@ class PreprocessOutput:
     params: PreprocessParams
 
 
-def _threshold_shift(grid, parity, threshold, shift, direction):
-    """One prediction-driven pass over a single parity; direction +1 applies,
-    -1 undoes. Reads only the opposite parity, so apply/undo see identical
-    predictions."""
-    pred = predict_grid(grid)
+def _apply_pass(grid, pred, parity, threshold, shift, direction):
+    """One pass over a single parity, given pred = predict_grid(grid);
+    direction +1 applies, -1 undoes."""
     cells = parity_mask(grid.shape[0], grid.shape[1], parity)
     # 1 on cells that move up, -1 on cells that move down, 0 elsewhere: an
     # add, where a masked += would branch on every cell
@@ -67,6 +65,25 @@ def _threshold_shift(grid, parity, threshold, shift, direction):
     step -= (cells & (pred > 255 - threshold)).view(np.int8)
     step *= direction * shift
     return grid + step
+
+
+def _threshold_shift(grid, parity, threshold, shift, direction):
+    """Predict, then apply one pass. A pass reads only the opposite parity,
+    so apply and undo see identical predictions."""
+    return _apply_pass(grid, predict_grid(grid), parity, threshold, shift, direction)
+
+
+def _clamp(pass_odd, params):
+    """Clamp the two-pass grid into [shift, 255 - shift] and record in the
+    location map how far each clamped value sat outside."""
+    t = params.shift
+    clamped = np.clip(pass_odd, t, 255 - t)
+    # 2t, less how far the value sat outside: v + t below the range and
+    # 255 + t - v above it, both in [0, 2t) as a pass moves a value by <= t
+    symbols = 2 * t - np.abs(pass_odd - clamped)
+    return PreprocessOutput(
+        clamped.astype(np.uint8), LocationMap(symbols.astype(np.uint8), 2 * t + 1), params
+    )
 
 
 def _check_size(a):
@@ -81,19 +98,33 @@ def forward(cover, params):
     _check_size(a)
     if not isinstance(params, PreprocessParams):
         raise ValidationError("params must be a PreprocessParams")
-    t = params.shift
-    work = a.astype(np.int16)
-    pass_even = _threshold_shift(work, 0, params.t_even, t, +1)
-    pass_odd = _threshold_shift(pass_even, 1, params.t_odd, t, +1)
+    return _ForwardCache(a, params.shift).forward(params)
 
-    clamped = np.clip(pass_odd, t, 255 - t)
-    symbols = np.full(a.shape, 2 * t, dtype=np.uint8)
-    below = pass_odd < t
-    above = pass_odd > 255 - t
-    symbols[below] = pass_odd[below] + t
-    symbols[above] = 255 + t - pass_odd[above]
-    locmap = LocationMap(symbols, 2 * t + 1)
-    return PreprocessOutput(clamped.astype(np.uint8), locmap, params)
+
+class _ForwardCache:
+    """The forward transform of one cover under thresholds of one shift
+    width. The cover is predicted once, and the even pass and its prediction
+    are kept for the last t_even only, so calls grouped by t_even predict
+    each even pass once while holding a fixed number of images."""
+
+    def __init__(self, cover, shift):
+        a = as_gray(cover)
+        _check_size(a)
+        self.shift = shift
+        self.work = a.astype(np.int16)
+        self.cover_pred = predict_grid(self.work)
+        self.t_even = None
+        self.pass_even = self.even_pred = None
+
+    def forward(self, params):
+        """Even pass (kept while t_even repeats), odd pass, then the clamp;
+        params must be of this shift width."""
+        t = self.shift
+        if params.t_even != self.t_even:
+            self.pass_even = _apply_pass(self.work, self.cover_pred, 0, params.t_even, t, +1)
+            self.even_pred = predict_grid(self.pass_even)
+            self.t_even = params.t_even
+        return _clamp(_apply_pass(self.pass_even, self.even_pred, 1, params.t_odd, t, +1), params)
 
 
 def _unclamp(shifted, symbols, shift):

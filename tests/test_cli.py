@@ -169,6 +169,17 @@ def test_extract_of_damaged_image_exits_4(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_extract_decodes_a_version_1_frame_only_with_legacy_v1(tmp_path, capsys):
+    marked = pathlib.Path(__file__).parent / "golden" / "marked_v1_32x32.pgm"
+    argv = ["extract", str(marked), "--payload-out", str(tmp_path / "o.bin"),
+            "--out", str(tmp_path / "r.pgm")]
+    assert main(argv) == 4
+    assert "--legacy-v1" in capsys.readouterr().err
+    assert not (tmp_path / "r.pgm").exists()
+    assert main(argv + ["--legacy-v1"]) == 0
+    assert (tmp_path / "r.pgm").exists()
+
+
 def test_capacity_exit_code(tmp_path):
     cover = _write_cover(tmp_path, h=8, w=8)
     pay = tmp_path / "big.bin"

@@ -48,9 +48,8 @@ PARAMS = PreprocessParams(1, 1, 4)
 _OUT = forward(COVER, PARAMS)
 SIDE_FILE = serialize_side_file(PARAMS, compress(_OUT.locmap))
 MAP_CONTAINER = serialize_map(compress(_OUT.locmap))
-MARKED = embed_full(
-    COVER, default_rng(11).integers(0, 2, 100, dtype=np.uint8), PARAMS
-).marked
+PAYLOAD = default_rng(11).integers(0, 2, 100, dtype=np.uint8)
+MARKED = embed_full(COVER, PAYLOAD, PARAMS).marked
 
 # (index, xor mask) pairs, the index taken modulo the input length: a mask
 # with one bit set is a bit flip, any other mask replaces the byte.
@@ -171,9 +170,18 @@ def test_fuzz_restore_side_file_fields(restore_dir, params, alphabet, dims, bit_
 
 @FUZZ
 @given(mutations=MUTATIONS)
+# Turns the version byte 2 into 1 (stream bits 14 and 15) and flips stream
+# bits 105 and 106, so that the frame parses as version 1 and decodes into
+# a wrong cover when read without the version check.
+@example(mutations=[(30, 1), (33, 1), (291, 255), (299, 1)])
 def test_fuzz_extract_full_mutated_marked_image(mutations):
     marked = np.frombuffer(_mutate(MARKED.tobytes(), mutations), dtype=np.uint8)
     try:
-        extract_full(marked.reshape(MARKED.shape))
+        payload, cover = extract_full(marked.reshape(MARKED.shape))
     except BoundShiftError:
-        pass
+        return
+    # whatever the damage, a result that comes back is the exact one, up to
+    # the payload's bit length in its last byte, which the checksum does not
+    # cover (test_checksum_covers_the_payload_bit_length)
+    assert np.array_equal(cover, COVER)
+    assert np.packbits(payload).tobytes() == np.packbits(PAYLOAD).tobytes()

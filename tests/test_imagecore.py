@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,3 +124,30 @@ def test_parity_mask_is_shared_and_read_only():
     assert parity_mask(4, 6, 1) is mask
     with pytest.raises(ValueError):
         mask[0, 0] = True
+
+
+def test_parity_masks_are_right_on_every_shape():
+    # shapes repeated after others, so a mask is checked after its cache
+    # entry has been made
+    for h, w in [(2, 3), (7, 2), (3, 9), (1, 1), (7, 2), (12, 12), (2, 3)]:
+        for parity in (0, 1):
+            mask = parity_mask(h, w, parity)
+            ii, jj = np.indices((h, w))
+            assert mask.shape == (h, w)
+            assert np.array_equal(mask, (ii + jj) % 2 == parity)
+            assert parity_mask(h, w, parity) is mask
+            assert not mask.flags.writeable
+
+
+def test_parity_masks_of_wide_and_tall_grids_stay_small():
+    # a 2 x n and an n x 2 grid span n x n between them; the masks of a
+    # shape must cost about its own area, not that of every shape seen
+    n = 5000
+    tracemalloc.start()
+    try:
+        masks = [parity_mask(h, w, parity) for h, w in [(2, n), (n, 2)] for parity in (0, 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n
+    assert masks[0][1, n - 1] == (n % 2 == 0)

@@ -196,9 +196,52 @@ def test_version_1_marked_image_still_decodes():
     marked = load_pgm(Path(__file__).parent / "golden" / "marked_v1_32x32.pgm")
     stream, _ = EMB.extract(marked)
     assert deframe_payload(stream, 32, 32)[3] is None   # no checksum: a v1 frame
-    got_payload, got_cover = extract_full(marked)
+    got_payload, got_cover = extract_full(marked, legacy_v1=True)
     assert np.array_equal(got_payload, payload)
     assert np.array_equal(got_cover, cover)
+
+
+def test_version_1_frame_is_decoded_only_on_request():
+    marked = load_pgm(Path(__file__).parent / "golden" / "marked_v1_32x32.pgm")
+    with pytest.raises(CorruptionError, match="legacy_v1=True"):
+        extract_full(marked)
+
+
+def _flip_stream_bits(marked, positions):
+    """The marked image with the carriers of these stream bits flipped."""
+    stream, shifted = EMB.extract(marked)
+    stream[list(positions)] ^= 1
+    return EMB.embed(shifted, stream)
+
+
+def test_two_flipped_version_bits_do_not_downgrade_the_frame():
+    # Stream bits 14 and 15 are the low bits of the version byte, so
+    # flipping both turns version 2 into 1. Read as a version 1 frame, this
+    # image parses and decodes into a wrong payload and cover.
+    rng = default_rng(1)
+    cover = _pooled_field(rng, 32, 32, 40, 45)
+    payload = rng.integers(0, 2, size=64, dtype=np.uint8)
+    marked = embed_full(cover, payload, PreprocessParams(1, 1, 4)).marked
+    downgraded = _flip_stream_bits(marked, (14, 15))
+    assert (downgraded != marked).sum() == 2
+    with pytest.raises(CorruptionError, match="version 1"):
+        extract_full(downgraded)
+    got_payload, got_cover = extract_full(downgraded, legacy_v1=True)
+    assert not np.array_equal(got_payload, payload)
+    assert not np.array_equal(got_cover, cover)
+
+
+@pytest.mark.xfail(strict=True, reason="the version 2 checksum covers the packed payload "
+                   "bytes, not the payload's bit length")
+def test_checksum_covers_the_payload_bit_length():
+    # Stream bit 103 is the low bit of the payload length: 100 bits become
+    # 101, the extra bit is a zero filler bit in the same last byte, so the
+    # packed payload, and with it the checksum, is unchanged.
+    cover = smooth_image(26, 48, 48)
+    payload = default_rng(27).integers(0, 2, size=100, dtype=np.uint8)
+    marked = embed_full(cover, payload, PreprocessParams(1, 1, 4)).marked
+    with pytest.raises(CorruptionError):
+        extract_full(_flip_stream_bits(marked, (FRAME_HEADER_BITS - 33,)))
 
 
 def test_extract_full_rejects_unmarked_cover():
