@@ -143,38 +143,35 @@ def _mean_rows(per_image_records, shift):
     for recs in per_image_records:
         for rec in recs:
             cells.setdefault((rec.t_even, rec.t_odd), []).append(rec)
+    # report column, record field, decimals: in report order
+    columns = (
+        ("boundary_before", "boundary_before", 2),
+        ("boundary_after", "boundary_after", 2),
+        ("map_bits_before", "map_bits_before", 2),
+        ("map_bits_after", "map_bits_after", 2),
+        ("r0_pct", "r0", 4),
+        ("r1_pct", "r1", 4),
+        ("r_emb_bpp", "r_emb", 6),
+        ("psnr_db", "psnr_db", 4),
+    )
     rows = []
     for (t_even, t_odd), recs in sorted(cells.items()):
-        r0s = [r.r0 for r in recs if r.r0 is not None]
-        r1s = [r.r1 for r in recs if r.r1 is not None]
-        quals = [r.psnr_db for r in recs if r.psnr_db is not None and not math.isinf(r.psnr_db)]
-        rows.append(
-            {
-                "image": "__mean__",
-                "width": "",
-                "height": "",
-                "shift": shift,
-                "t_even": t_even,
-                "t_odd": t_odd,
-                "boundary_before": _fmt_float(float(np.mean([r.boundary_before for r in recs])), 2),
-                "boundary_after": _fmt_float(float(np.mean([r.boundary_after for r in recs])), 2),
-                "map_bits_before": _fmt_float(float(np.mean([r.map_bits_before for r in recs])), 2),
-                "map_bits_after": _fmt_float(float(np.mean([r.map_bits_after for r in recs])), 2),
-                "r0_pct": _fmt_float(float(np.mean(r0s)) if r0s else None, 4),
-                "r1_pct": _fmt_float(float(np.mean(r1s)) if r1s else None, 4),
-                "r_emb_bpp": f"{float(np.mean([r.r_emb for r in recs])):.6f}",
-                "psnr_db": _fmt_float(float(np.mean(quals)) if quals else None, 4),
-                "selected": "",
-            }
-        )
+        row = {"image": "__mean__", "width": "", "height": "", "shift": shift,
+               "t_even": t_even, "t_odd": t_odd}
+        for column, field, digits in columns:
+            values = [getattr(r, field) for r in recs]
+            defined = [v for v in values if v is not None and not math.isinf(v)]
+            row[column] = _fmt_float(float(np.mean(defined)) if defined else None, digits)
+        row["selected"] = ""
+        rows.append(row)
     return rows
 
 
-def _write_map_image(out_dir, stem, cover, params, flavor):
+def _write_map_image(out_dir, stem, cover, params):
     out = forward(cover, params)
     clear = 2 * params.shift
     vis = np.where(out.locmap.symbols != clear, 255, 0).astype(np.uint8)
-    save_pgm(os.path.join(out_dir, f"{stem}_map.pgm"), vis, flavor)
+    save_pgm(os.path.join(out_dir, f"{stem}_map.pgm"), vis)
 
 
 def _write_joint_hist(out_dir, stem, cover):
@@ -223,7 +220,7 @@ def cmd_analyze(args):
         chosen_params = PreprocessParams(args.shift, chosen.t_even, chosen.t_odd)
         stem = os.path.splitext(name)[0]
         if args.maps:
-            _write_map_image(args.maps, stem, cover, chosen_params, "P5")
+            _write_map_image(args.maps, stem, cover, chosen_params)
         if args.joint_hist:
             _write_joint_hist(args.joint_hist, stem, cover)
     rows.extend(_mean_rows(sweep_records, args.shift))
@@ -318,7 +315,6 @@ def build_parser():
     p.add_argument("--joint-hist", default=None,
                    help="directory for (value, prediction) histogram CSVs")
     _add_params(p, required=False)
-    _add_flavor(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gen-fixtures", help="write the deterministic synthetic corpus")
@@ -332,12 +328,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "embed" and not args.auto:
-        if args.t_even is None or args.t_odd is None:
-            parser.error("embed needs --t-even and --t-odd (or --auto)")
-    if args.command == "analyze" and not args.sweep:
-        if args.t_even is None or args.t_odd is None:
-            parser.error("analyze needs --t-even and --t-odd (or --sweep)")
+    # embed and analyze take both thresholds, or the option that picks them
+    picker = {"embed": "auto", "analyze": "sweep"}.get(args.command)
+    if picker and getattr(args, picker):
+        if args.t_even is not None or args.t_odd is not None:
+            parser.error(f"{args.command} --{picker} takes no --t-even or --t-odd")
+    elif picker and (args.t_even is None or args.t_odd is None):
+        parser.error(f"{args.command} needs --t-even and --t-odd (or --{picker})")
     try:
         return args.func(args)
     except BoundShiftError as exc:

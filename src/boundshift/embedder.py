@@ -14,7 +14,8 @@ the payload, MSB-first. The pipeline computes the CRC-32 over the cover's
 raster-order bytes followed by the packed payload bits, so the extractor
 can tell a recovered cover or payload that is wrong from one that is exact.
 Version 1 frames, whose 104-bit header ends at the payload bit length,
-still decode, without that check.
+carry no such check, so the pipeline decodes them only on request
+(extract_full's legacy_v1).
 """
 
 import struct

@@ -25,6 +25,7 @@ from .errors import CapacityError, CorruptionError, ValidationError
 from .imagecore import as_gray, count_boundary_pixels, psnr, validate_shift_width
 from .preprocess import (
     PreprocessParams,
+    _check_size,
     _ForwardCache,
     boundary_count_after,
     forward,
@@ -71,32 +72,41 @@ def _checksum(cover_crc, payload):
     return zlib.crc32(np.packbits(payload).tobytes(), cover_crc)
 
 
-def _prepare(cover, params):
-    a = as_gray(cover)
-    out = forward(a, params)
-    cmap = compress(out.locmap)
-    room = _EMBEDDER.capacity(out.shifted)
-    return a, out, cmap, room
+def _prepare(a, params, state=None):
+    """Shifted image, coded map and capacity; state is sweep's, if any."""
+    if state is None:
+        out = forward(a, params)
+        cmap = compress(out.locmap)
+    else:
+        out = state.passes.forward(params)
+        cmap = state.compress(out.locmap)
+    return out, cmap, _EMBEDDER.capacity(out.shifted)
 
 
-def max_payload(cover, params):
-    """Payload bits embed_full can carry for this cover and parameter set."""
-    _, _, cmap, room = _prepare(cover, params)
-    return max(0, room - FRAME_HEADER_BITS - cmap.bit_length)
-
-
-def embed_full(cover, payload, params):
-    """Clear boundary pixels, then embed map + payload; returns EmbedResult."""
-    bits = as_bits(payload)
-    a, out, cmap, room = _prepare(cover, params)
-    framed = frame_payload(bits, cmap, params, _checksum(zlib.crc32(a.tobytes()), bits))
+def _embed_frame(out, cmap, room, payload, params, cover_crc):
+    """Frame map and payload, check that the frame fits, and embed it."""
+    framed = frame_payload(payload, cmap, params, _checksum(cover_crc, payload))
     if framed.size > room:
         raise CapacityError(
             f"frame of {framed.size} bits exceeds capacity {room} "
             f"({cmap.bit_length} map bits + {FRAME_HEADER_BITS} header bits)",
             deficit_bits=framed.size - room,
         )
-    marked = _EMBEDDER.embed(out.shifted, framed)
+    return _EMBEDDER.embed(out.shifted, framed)
+
+
+def max_payload(cover, params):
+    """Payload bits embed_full can carry for this cover and parameter set."""
+    _, cmap, room = _prepare(as_gray(cover), params)
+    return max(0, room - FRAME_HEADER_BITS - cmap.bit_length)
+
+
+def embed_full(cover, payload, params):
+    """Clear boundary pixels, then embed map + payload; returns EmbedResult."""
+    bits = as_bits(payload)
+    a = as_gray(cover)
+    out, cmap, room = _prepare(a, params)
+    marked = _embed_frame(out, cmap, room, bits, params, zlib.crc32(a.tobytes()))
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     return EmbedResult(
         marked=marked,
@@ -123,11 +133,6 @@ def extract_full(marked, legacy_v1=False):
         raise CorruptionError(
             "version 1 frame: it carries no checksum, so it is decoded only on "
             "request (legacy_v1=True, extract --legacy-v1)"
-        )
-    t = params.shift
-    if shifted.size and (int(shifted.min()) < t or int(shifted.max()) > 255 - t):
-        raise CorruptionError(
-            f"recovered image has pixels outside [{t}, {255 - t}]"
         )
     locmap = decompress(cmap)
     cover = inverse(shifted, locmap, params)
@@ -183,22 +188,17 @@ def evaluate_cell(cover, params, state=None):
     a = as_gray(cover)
     if state is None:
         before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
-        out = forward(a, params)
-        cmap = compress(out.locmap)
+    elif params.shift != state.passes.shift or not np.array_equal(a, state.cover):
+        raise ValidationError("state was built for another cover or shift width")
     else:
-        if params.shift != state.passes.shift or not np.array_equal(a, state.cover):
-            raise ValidationError("state was built for another cover or shift width")
         before_count, before_bits, cover_crc = state.stats
-        out = state.passes.forward(params)
-        cmap = state.compress(out.locmap)
-    room = _EMBEDDER.capacity(out.shifted)
+    out, cmap, room = _prepare(a, params, state)
     after_count = boundary_count_after(out)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room >= side_info:
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
-        framed = frame_payload(payload, cmap, params, _checksum(cover_crc, payload))
-        marked = _EMBEDDER.embed(out.shifted, framed)
+        marked = _embed_frame(out, cmap, room, payload, params, cover_crc)
         quality = psnr(a, marked)
     else:
         quality = None
@@ -226,20 +226,22 @@ def sweep(cover, t_range, shift):
     cell's is not coded again."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
-    thresholds = sorted(set(int(v) for v in t_range))
+    values = list(t_range)
+    for v in values:
+        if not isinstance(v, (int, np.integer)):
+            raise ValidationError(f"t_range must hold integers, got {v!r}")
+    thresholds = sorted(set(int(v) for v in values))
     if not thresholds:
         raise ValidationError("t_range must not be empty")
     # the first cell's thresholds are checked before the cover's size, as
     # evaluating that cell on its own would
     PreprocessParams(t, thresholds[0], thresholds[0])
+    _check_size(a)
     state = _SweepState(a, t)
     records = []
     for t_even in thresholds:
         for t_odd in thresholds:
             records.append(evaluate_cell(a, PreprocessParams(t, t_even, t_odd), state))
-    best = 0
-    for k, rec in enumerate(records):
-        if rec.r_emb > records[best].r_emb:
-            best = k
-    records[best].selected = True
+    # max returns the first of equal records, so ties go to the smallest pair
+    max(records, key=lambda rec: rec.r_emb).selected = True
     return records

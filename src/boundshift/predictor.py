@@ -27,24 +27,6 @@ def _round_half_away(total, count):
     return (2 * np.abs(total) + count) // (2 * count) * np.sign(total)
 
 
-def _thin(a):
-    """Predictions for a grid with fewer than three rows or columns, where
-    every cell is on the border and neighbor counts vary along it."""
-    h, w = a.shape
-    a = a.astype(np.int64)
-    total = np.zeros((h, w), dtype=np.int64)
-    count = np.zeros((h, w), dtype=np.int64)
-    total[1:, :] += a[:-1, :]
-    count[1:, :] += 1
-    total[:-1, :] += a[1:, :]
-    count[:-1, :] += 1
-    total[:, 1:] += a[:, :-1]
-    count[:, 1:] += 1
-    total[:, :-1] += a[:, 1:]
-    count[:, :-1] += 1
-    return _round_half_away(total, count).astype(np.int32)
-
-
 def predict_grid(img):
     """Predictions for every cell at once; int32 grid, same shape as img.
 
@@ -63,18 +45,20 @@ def predict_grid(img):
         if a.size and (int(a.min()) < -_LIMIT or int(a.max()) > _LIMIT):
             raise ValidationError("grid values must lie in [-2**28, 2**28] to predict")
         a = a.astype(np.int32)
-    if h < 3 or w < 3:
-        return _thin(a)
     total = np.zeros((h, w), dtype=np.int32)
+    if not total.size:
+        return total
     total[1:] += a[:-1]
     total[:-1] += a[1:]
     total[:, 1:] += a[:, :-1]
     total[:, :-1] += a[:, 1:]
     # The border ring, row 0, row h-1, then columns 0 and w-1 between them:
-    # three neighbors each, two at the corners.
+    # three neighbors each, two at the corners. A single row or column has
+    # one neighbor less everywhere, and its ring holds each cell twice.
     ring = np.concatenate((total[0], total[-1], total[1:-1, 0], total[1:-1, -1]))
-    count = np.full(ring.size, 3, dtype=np.int32)
-    count[[0, w - 1, w, 2 * w - 1]] = 2
+    sides = 3 - (h == 1) - (w == 1)
+    count = np.full(ring.size, sides, dtype=np.int32)
+    count[[0, w - 1, w, 2 * w - 1]] = sides - 1
     ring = _round_half_away(ring, count)
     # Inside, four neighbors: (total + 2) >> 2 rounds halves up, and one
     # less for a negative total (total >> 31 is -1) rounds them down, so

@@ -105,13 +105,12 @@ class _ForwardCache:
     """The forward transform of one cover under thresholds of one shift
     width. The cover is predicted once, and the even pass and its prediction
     are kept for the last t_even only, so calls grouped by t_even predict
-    each even pass once while holding a fixed number of images."""
+    each even pass once while holding a fixed number of images. The cover
+    must be gray and at least 2x2; its callers check both."""
 
     def __init__(self, cover, shift):
-        a = as_gray(cover)
-        _check_size(a)
         self.shift = shift
-        self.work = a.astype(np.int16)
+        self.work = cover.astype(np.int16)
         self.cover_pred = predict_grid(self.work)
         self.t_even = None
         self.pass_even = self.even_pred = None
@@ -128,25 +127,21 @@ class _ForwardCache:
 
 
 def _unclamp(shifted, symbols, shift):
-    """Rebuild the pre-clamp grid from the shifted image and map symbols."""
+    """The pre-clamp grid, as the mirror of _clamp: a marked cell sat
+    2t - symbol below the low endpoint t or above the high one 255 - t."""
     t = shift
-    clear = symbols == 2 * t
-    marked = ~clear
-    at_low = shifted == t
-    at_high = shifted == 255 - t
-    bad = marked & ~(at_low | at_high)
+    grid = shifted.astype(np.int16)
+    outside = 2 * t - symbols
+    # -1 at the low endpoint, 1 at the high one, 0 elsewhere
+    side = (grid == 255 - t).view(np.int8) - (grid == t).view(np.int8)
+    bad = (outside != 0) & (side == 0)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise CorruptionError(
             f"map marks cell ({i}, {j}) as clamped but its value "
             f"{int(shifted[i, j])} is not an interior-range endpoint"
         )
-    grid = shifted.astype(np.int16)
-    lo = marked & at_low
-    hi = marked & at_high
-    grid[lo] = symbols[lo] - t
-    grid[hi] = 255 + t - symbols[hi]
-    return grid
+    return grid + outside * side
 
 
 def inverse(shifted, locmap, params):

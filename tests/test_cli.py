@@ -212,6 +212,32 @@ def test_missing_thresholds_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, picker", [("embed", "--auto"), ("analyze", "--sweep")])
+@pytest.mark.parametrize("given", [("--t-even", "3"), ("--t-odd", "3")])
+def test_threshold_options_beside_the_picking_option_are_a_usage_error(
+        tmp_path, capsys, command, picker, given):
+    cover = _write_cover(tmp_path)
+    pay = tmp_path / "p.bin"
+    pay.write_bytes(b"x")
+    if command == "embed":
+        argv = ["embed", str(cover), "--payload", str(pay), "--out", str(tmp_path / "m.pgm")]
+    else:
+        argv = ["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, picker, "--t-max", "2", *given])
+    assert exc.value.code == 2
+    assert "takes no --t-even or --t-odd" in capsys.readouterr().err
+    assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_analyze_has_no_flavor_option(tmp_path):
+    save_pgm(tmp_path / "a.pgm", smooth_image(31, 16, 16))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv"),
+              "--t-even", "1", "--t-odd", "4", "--flavor", "P2"])
+    assert exc.value.code == 2
+
+
 def test_gen_fixtures_writes_corpus(tmp_path, capsys):
     out = tmp_path / "corpus"
     rc = main(["gen-fixtures", str(out)])

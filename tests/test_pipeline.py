@@ -23,6 +23,7 @@ from boundshift import (
     psnr,
     sweep,
 )
+from boundshift import embedder, pipeline, preprocess
 from boundshift.embedder import FRAME_HEADER_BITS, deframe_payload
 from boundshift.fixtures import _pooled_field
 
@@ -60,6 +61,38 @@ def test_round_trip_boundary_heavy_cover():
     assert cap > 0
     bits = default_rng(12).integers(0, 2, size=cap, dtype=np.uint8)
     _round_trip(cover, bits, params)
+
+
+def test_round_trip_does_each_step_once(monkeypatch):
+    cover = _pooled_field(default_rng(15), 32, 32, 40, 45)
+    params = PreprocessParams(1, 1, 4)
+    bits = default_rng(16).integers(0, 2, max_payload(cover, params) // 2, dtype=np.uint8)
+    calls = []
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    # wrapped where the callers look the names up, so a new import of
+    # predict_grid, or a step called another way, is counted or missed
+    for module in (preprocess, embedder, pipeline):
+        if hasattr(module, "predict_grid"):
+            monkeypatch.setattr(module, "predict_grid", count("predict_grid", module.predict_grid))
+    for name in ("forward", "compress", "frame_payload", "deframe_payload",
+                 "decompress", "inverse"):
+        monkeypatch.setattr(pipeline, name, count(name, getattr(pipeline, name)))
+    cls = embedder.PredictionErrorEmbedder
+    monkeypatch.setattr(cls, "capacity", count("capacity", cls.capacity))
+
+    _round_trip(cover, bits, params)
+    # forward predicts the cover and its even pass, capacity and embed the
+    # shifted image, extract the marked one, inverse both undone passes
+    assert calls.count("predict_grid") == 7
+    steps = [c for c in calls if c != "predict_grid"]
+    assert sorted(steps) == sorted(["forward", "compress", "capacity", "frame_payload",
+                                    "deframe_payload", "decompress", "inverse"])
 
 
 def test_empty_payload_still_recovers_cover():

@@ -103,6 +103,14 @@ def _cover(shape):
         ((1, 5), [0], 1, "t_even must be in [1, 127], got 0"),
         ((1, 5), [1, 128], 1, "image must be at least 2x2, got (1, 5)"),
         ((1, 5), [], 1, "t_range must not be empty"),
+        # thresholds must be integers, as PreprocessParams requires, and are
+        # checked before any cell runs
+        ((32, 32), [2.7], 1, "t_range must hold integers, got 2.7"),
+        ((32, 32), ["3"], 1, "t_range must hold integers, got '3'"),
+        ((32, 32), ["x"], 1, "t_range must hold integers, got 'x'"),
+        ((32, 32), [None], 1, "t_range must hold integers, got None"),
+        ((32, 32), [1, 2.0], 1, "t_range must hold integers, got 2.0"),
+        ((1, 5), [None, 1], 1, "t_range must hold integers, got None"),
     ],
 )
 def test_sweep_error_paths(shape, t_range, shift, message):
