@@ -32,10 +32,20 @@ from .pipeline import (
 from .predictor import predict_grid
 from .preprocess import boundary_count_after, forward, inverse
 
+# report column, SweepRecord field, decimals for a float or a mean
+_CELL_COLUMNS = (
+    ("boundary_before", "boundary_before", 2),
+    ("boundary_after", "boundary_after", 2),
+    ("map_bits_before", "map_bits_before", 2),
+    ("map_bits_after", "map_bits_after", 2),
+    ("r0_pct", "r0", 4),
+    ("r1_pct", "r1", 4),
+    ("r_emb_bpp", "r_emb", 6),
+    ("psnr_db", "psnr_db", 4),
+)
 _REPORT_FIELDS = [
     "image", "width", "height", "shift", "t_even", "t_odd",
-    "boundary_before", "boundary_after", "map_bits_before", "map_bits_after",
-    "r0_pct", "r1_pct", "r_emb_bpp", "psnr_db", "selected",
+    *(column for column, _, _ in _CELL_COLUMNS), "selected",
 ]
 
 
@@ -117,54 +127,23 @@ def _fmt_float(value, digits):
     return f"{value:.{digits}f}"
 
 
-def _row_dict(image, width, height, shift, rec):
-    return {
-        "image": image,
-        "width": width,
-        "height": height,
-        "shift": shift,
-        "t_even": rec.t_even,
-        "t_odd": rec.t_odd,
-        "boundary_before": rec.boundary_before,
-        "boundary_after": rec.boundary_after,
-        "map_bits_before": rec.map_bits_before,
-        "map_bits_after": rec.map_bits_after,
-        "r0_pct": _fmt_float(rec.r0, 4),
-        "r1_pct": _fmt_float(rec.r1, 4),
-        "r_emb_bpp": f"{rec.r_emb:.6f}",
-        "psnr_db": _fmt_float(rec.psnr_db, 4),
-        "selected": int(rec.selected),
-    }
+def _row(lead, value, selected):
+    """A report row in _REPORT_FIELDS order. lead holds image, width, height,
+    shift, t_even and t_odd; value(field) gives each _CELL_COLUMNS field,
+    written as it is if an integer and to the column's decimals if not."""
+    row = dict(zip(_REPORT_FIELDS, lead))
+    for column, field, digits in _CELL_COLUMNS:
+        v = value(field)
+        row[column] = v if isinstance(v, int) else _fmt_float(v, digits)
+    row["selected"] = selected
+    return row
 
 
-def _mean_rows(per_image_records, shift):
-    """Mean-over-corpus summary per threshold cell, undefined values skipped."""
-    cells = {}
-    for recs in per_image_records:
-        for rec in recs:
-            cells.setdefault((rec.t_even, rec.t_odd), []).append(rec)
-    # report column, record field, decimals: in report order
-    columns = (
-        ("boundary_before", "boundary_before", 2),
-        ("boundary_after", "boundary_after", 2),
-        ("map_bits_before", "map_bits_before", 2),
-        ("map_bits_after", "map_bits_after", 2),
-        ("r0_pct", "r0", 4),
-        ("r1_pct", "r1", 4),
-        ("r_emb_bpp", "r_emb", 6),
-        ("psnr_db", "psnr_db", 4),
-    )
-    rows = []
-    for (t_even, t_odd), recs in sorted(cells.items()):
-        row = {"image": "__mean__", "width": "", "height": "", "shift": shift,
-               "t_even": t_even, "t_odd": t_odd}
-        for column, field, digits in columns:
-            values = [getattr(r, field) for r in recs]
-            defined = [v for v in values if v is not None and not math.isinf(v)]
-            row[column] = _fmt_float(float(np.mean(defined)) if defined else None, digits)
-        row["selected"] = ""
-        rows.append(row)
-    return rows
+def _mean(recs, field):
+    """Mean of a field over the records' defined values; None if there are none."""
+    defined = [v for v in (getattr(r, field) for r in recs)
+               if v is not None and not math.isinf(v)]
+    return float(np.mean(defined)) if defined else None
 
 
 def _write_map_image(out_dir, stem, cover, params):
@@ -190,13 +169,12 @@ def cmd_analyze(args):
     names = sorted(n for n in os.listdir(args.dir) if n.lower().endswith(".pgm"))
     if not names:
         raise ValidationError(f"no .pgm files in {args.dir}")
-    if args.maps:
-        os.makedirs(args.maps, exist_ok=True)
-    if args.joint_hist:
-        os.makedirs(args.joint_hist, exist_ok=True)
+    for out_dir in (args.maps, args.joint_hist):
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
     skipped = 0
     rows = []
-    sweep_records = []
+    cells = {}  # (t_even, t_odd) -> the records of every image, for the means
     for name in names:
         path = os.path.join(args.dir, name)
         try:
@@ -213,17 +191,19 @@ def cmd_analyze(args):
             skipped += 1
             continue
         h, w = cover.shape
-        for rec in recs:
-            rows.append(_row_dict(name, w, h, args.shift, rec))
-        sweep_records.append(recs)
-        chosen = next(r for r in recs if r.selected)
-        chosen_params = PreprocessParams(args.shift, chosen.t_even, chosen.t_odd)
         stem = os.path.splitext(name)[0]
-        if args.maps:
-            _write_map_image(args.maps, stem, cover, chosen_params)
+        for rec in recs:
+            rows.append(_row((name, w, h, args.shift, rec.t_even, rec.t_odd),
+                             lambda field: getattr(rec, field), int(rec.selected)))
+            cells.setdefault((rec.t_even, rec.t_odd), []).append(rec)
+            if rec.selected and args.maps:
+                chosen = PreprocessParams(args.shift, rec.t_even, rec.t_odd)
+                _write_map_image(args.maps, stem, cover, chosen)
         if args.joint_hist:
             _write_joint_hist(args.joint_hist, stem, cover)
-    rows.extend(_mean_rows(sweep_records, args.shift))
+    for (t_even, t_odd), recs in sorted(cells.items()):
+        rows.append(_row(("__mean__", "", "", args.shift, t_even, t_odd),
+                         lambda field: _mean(recs, field), ""))
     with open(args.report, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
         writer.writeheader()
@@ -232,7 +212,7 @@ def cmd_analyze(args):
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
             fh.write("\n")
-    print(f"analyzed {len(sweep_records)} images -> {args.report}"
+    print(f"analyzed {len(names) - skipped} images -> {args.report}"
           + (f" ({skipped} skipped)" if skipped else ""))
     return 5 if skipped else 0
 
@@ -287,7 +267,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="marked image (PGM)")
     p.add_argument("--auto", action="store_true",
                    help="pick thresholds by sweeping for the best net rate")
-    p.add_argument("--t-max", type=int, default=16,
+    p.add_argument("--t-max", type=int, default=None,
                    help="sweep thresholds 1..t-max with --auto (default 16)")
     _add_params(p, required=False)
     _add_flavor(p)
@@ -308,7 +288,7 @@ def build_parser():
     p.add_argument("--json", default=None, help="also mirror rows as JSON")
     p.add_argument("--sweep", action="store_true",
                    help="evaluate the full threshold grid per image")
-    p.add_argument("--t-max", type=int, default=16,
+    p.add_argument("--t-max", type=int, default=None,
                    help="sweep thresholds 1..t-max (default 16)")
     p.add_argument("--maps", default=None,
                    help="directory for boundary-map visualizations")
@@ -328,13 +308,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # embed and analyze take both thresholds, or the option that picks them
+    # embed and analyze take both thresholds, or the option that picks them;
+    # --t-max goes with that option, so its default is set here
     picker = {"embed": "auto", "analyze": "sweep"}.get(args.command)
     if picker and getattr(args, picker):
         if args.t_even is not None or args.t_odd is not None:
             parser.error(f"{args.command} --{picker} takes no --t-even or --t-odd")
+        if args.t_max is None:
+            args.t_max = 16
     elif picker and (args.t_even is None or args.t_odd is None):
         parser.error(f"{args.command} needs --t-even and --t-odd (or --{picker})")
+    elif picker and args.t_max is not None:
+        parser.error(f"{args.command} --t-max needs --{picker}")
     try:
         return args.func(args)
     except BoundShiftError as exc:

@@ -43,7 +43,13 @@ def _int_token(data, pos, allow_comments, what, max_value):
     tok, start, pos = _next_token(data, pos, allow_comments, what)
     if not tok.isdigit():
         raise PgmFormatError(f"non-numeric {what} token {tok!r}", offset=start)
-    value = int(tok)
+    # rejected unconverted: int() refuses strings of more than 4300 digits,
+    # leading zeros included
+    digits = tok.lstrip(b"0")
+    if len(digits) > len(str(max_value)):
+        raise PgmFormatError(f"{what} token of {len(tok)} digits exceeds {max_value}",
+                             offset=start)
+    value = int(digits or b"0")
     if value > max_value:
         raise PgmFormatError(f"{what} {value} exceeds {max_value}", offset=start)
     return value, start, pos

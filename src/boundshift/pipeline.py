@@ -186,6 +186,10 @@ def evaluate_cell(cover, params, state=None):
     carrying a seeded max-size pseudorandom payload. state is sweep's, for
     this cover and shift width."""
     a = as_gray(cover)
+    # checked in forward's order, before the cover's stats read params.shift
+    _check_size(a)
+    if not isinstance(params, PreprocessParams):
+        raise ValidationError("params must be a PreprocessParams")
     if state is None:
         before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
     elif params.shift != state.passes.shift or not np.array_equal(a, state.cover):
@@ -226,7 +230,12 @@ def sweep(cover, t_range, shift):
     cell's is not coded again."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
-    values = list(t_range)
+    try:
+        values = iter(t_range)
+    except TypeError:
+        raise ValidationError(
+            f"t_range must be an iterable of integers, got {t_range!r}") from None
+    values = list(values)
     for v in values:
         if not isinstance(v, (int, np.integer)):
             raise ValidationError(f"t_range must hold integers, got {v!r}")

@@ -230,6 +230,32 @@ def test_threshold_options_beside_the_picking_option_are_a_usage_error(
     assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("command, picker", [("embed", "--auto"), ("analyze", "--sweep")])
+def test_t_max_without_the_picking_option_is_a_usage_error(tmp_path, capsys, command, picker):
+    cover = _write_cover(tmp_path)
+    pay = tmp_path / "p.bin"
+    pay.write_bytes(b"x")
+    if command == "embed":
+        argv = ["embed", str(cover), "--payload", str(pay), "--out", str(tmp_path / "m.pgm")]
+    else:
+        argv = ["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--t-even", "1", "--t-odd", "4", "--t-max", "3"])
+    assert exc.value.code == 2
+    assert f"{command} --t-max needs {picker}" in capsys.readouterr().err
+    assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "r.csv").exists()
+
+
+def test_analyze_sweep_defaults_to_t_max_16(tmp_path):
+    save_pgm(tmp_path / "z.pgm", np.zeros((8, 8), dtype=np.uint8))
+    report = tmp_path / "r.csv"
+    rc = main(["analyze", str(tmp_path), "--report", str(report), "--sweep"])
+    assert rc == 0
+    with open(report, newline="") as fh:
+        cells = {(r["t_even"], r["t_odd"]) for r in csv.DictReader(fh)}
+    assert cells == {(str(e), str(o)) for e in range(1, 17) for o in range(1, 17)}
+
+
 def test_analyze_has_no_flavor_option(tmp_path):
     save_pgm(tmp_path / "a.pgm", smooth_image(31, 16, 16))
     with pytest.raises(SystemExit) as exc:

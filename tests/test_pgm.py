@@ -70,6 +70,8 @@ def test_maxval_below_255_accepted_when_pixels_fit():
         (b"P2\n2 1\n255\n1 x", 13),                    # non-numeric sample
         (b"P2\n2 1\n10\n1 11", 12),                    # sample above maxval
         (b"P2\n2 1\n255\n1 2 3", 15),                  # trailing sample
+        pytest.param(b"P5\n" + b"9" * 5000 + b" 2\n255\n\x00", 3, id="width-of-5000-digits"),
+        pytest.param(b"P2\n2 1\n10\n1 " + b"9" * 5000, 12, id="sample-of-5000-digits"),
     ],
 )
 def test_decode_errors_report_byte_offsets(data, offset):

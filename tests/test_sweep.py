@@ -55,6 +55,48 @@ def test_sweep_report_is_pinned(sweep_dir, tmp_path, shift):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == SWEEP_REPORT_SHA256[shift]
 
 
+# SHA-256 of the other `analyze` outputs over SWEEP_COVERS at shift 1: the
+# --json mirror, and a sha256sum-style listing of the --maps files, per
+# mode. The maps follow the chosen cell; the --joint-hist files depend on
+# the cover alone, so one listing serves both modes.
+ANALYZE_MODES = {
+    "cell": ["--t-even", "1", "--t-odd", "4"],
+    "sweep": ["--sweep", "--t-max", "16"],
+}
+ANALYZE_JSON_SHA256 = {
+    "cell": "df9aa36b69d2962c923ab746d5f94998de17c8db9d66d8cf33de50103a67b9f9",
+    "sweep": "7fb2e2be55df594b30112a6b36d99dfa58121c8e7734533d29060e1b54ed1c75",
+}
+ANALYZE_MAPS_SHA256 = {
+    "cell": "ec4a65862d53d01517cf60d19cf4f892bfaa5bff5e3262f290084de344a31e8e",
+    "sweep": "68396432e215c15649281c44f3363b0e136e865c93dec3849941c4c2f9ac5897",
+}
+JOINT_HIST_SHA256 = "2d4cc752662d5a8ccba037c7695d85f2a02c3f600f5b970e242e77bf0333cd3c"
+
+
+def _listing_sha256(directory):
+    """SHA-256 of a `sha256sum` listing of the directory's files, by name."""
+    listing = "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
+        for p in sorted(directory.iterdir())
+    )
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(ANALYZE_MODES))
+def test_analyze_json_maps_and_joint_hist_are_pinned(sweep_dir, tmp_path, mode):
+    rc = main(["analyze", str(sweep_dir), "--report", str(tmp_path / "report.csv"),
+               "--json", str(tmp_path / "report.json"), "--maps", str(tmp_path / "maps"),
+               "--joint-hist", str(tmp_path / "joint"), *ANALYZE_MODES[mode]])
+    assert rc == 0
+    mirror = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(mirror).hexdigest() == ANALYZE_JSON_SHA256[mode]
+    assert len(list((tmp_path / "maps").iterdir())) == len(SWEEP_COVERS)
+    assert _listing_sha256(tmp_path / "maps") == ANALYZE_MAPS_SHA256[mode]
+    assert len(list((tmp_path / "joint").iterdir())) == len(SWEEP_COVERS)
+    assert _listing_sha256(tmp_path / "joint") == JOINT_HIST_SHA256
+
+
 @st.composite
 def _covers(draw):
     h = draw(st.integers(2, 12))
@@ -111,6 +153,12 @@ def _cover(shape):
         ((32, 32), [None], 1, "t_range must hold integers, got None"),
         ((32, 32), [1, 2.0], 1, "t_range must hold integers, got 2.0"),
         ((1, 5), [None, 1], 1, "t_range must hold integers, got None"),
+        # t_range must be iterable, which is checked after the shift width
+        # and before the cover's size
+        ((32, 32), 5, 1, "t_range must be an iterable of integers, got 5"),
+        ((32, 32), None, 1, "t_range must be an iterable of integers, got None"),
+        ((32, 32), 5, 0, "shift width must be in [1, 127], got 0"),
+        ((1, 5), None, 1, "t_range must be an iterable of integers, got None"),
     ],
 )
 def test_sweep_error_paths(shape, t_range, shift, message):
@@ -152,6 +200,20 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     assert 1 < len(changed) < len(maps)
     assert len(coded) == len(changed)
     assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (1, 5)])
+@pytest.mark.parametrize("params", ["junk", None, (1, 3, 5)])
+def test_evaluate_cell_rejects_what_forward_rejects(shape, params):
+    cover = _cover(shape)
+    with pytest.raises(ValidationError) as expected:
+        forward(cover, params)
+    with pytest.raises(ValidationError) as exc:
+        pipeline.evaluate_cell(cover, params)
+    assert str(exc.value) == str(expected.value)
+    if shape == (16, 16):
+        with pytest.raises(ValidationError, match="params must be a PreprocessParams"):
+            pipeline.evaluate_cell(cover, params, pipeline._SweepState(cover, 1))
 
 
 def test_evaluate_cell_refuses_a_state_of_another_cover_or_shift():
