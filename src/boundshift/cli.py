@@ -51,13 +51,12 @@ _REPORT_FIELDS = [
 
 def cmd_preprocess(args):
     cover = load_pgm(args.image)
-    params = PreprocessParams(args.shift, args.t_even, args.t_odd)
-    out = forward(cover, params)
+    out = forward(cover, args.params)
     cmap = compress(out.locmap)
     save_pgm(args.out, out.shifted, args.flavor)
     with open(args.map, "wb") as fh:
-        fh.write(serialize_side_file(params, cmap))
-    before = count_boundary_pixels(cover, params.shift)
+        fh.write(serialize_side_file(args.params, cmap))
+    before = count_boundary_pixels(cover, args.shift)
     print(f"boundary pixels: {before} -> {boundary_count_after(out)}")
     print(f"map: {cmap.bit_length} bits compressed ({out.locmap.alphabet_size}-ary)")
     print(f"wrote {args.out} and {args.map}")
@@ -99,7 +98,7 @@ def cmd_embed(args):
         params = PreprocessParams(args.shift, chosen.t_even, chosen.t_odd)
         print(f"auto-selected t_even={params.t_even} t_odd={params.t_odd}")
     else:
-        params = PreprocessParams(args.shift, args.t_even, args.t_odd)
+        params = args.params
     result = embed_full(cover, bits, params)
     save_pgm(args.out, result.marked, args.flavor)
     print(f"embedded {bits.size} payload bits (side info {result.side_info_bits} bits)")
@@ -182,8 +181,7 @@ def cmd_analyze(args):
             if args.sweep:
                 recs = sweep(cover, range(1, args.t_max + 1), args.shift)
             else:
-                params = PreprocessParams(args.shift, args.t_even, args.t_odd)
-                rec = evaluate_cell(cover, params)
+                rec = evaluate_cell(cover, args.params)
                 rec.selected = True
                 recs = [rec]
         except (BoundShiftError, OSError) as exc:
@@ -311,7 +309,8 @@ def main(argv=None):
     # embed and analyze take both thresholds, or the option that picks them;
     # --t-max goes with that option, so its default is set here
     picker = {"embed": "auto", "analyze": "sweep"}.get(args.command)
-    if picker and getattr(args, picker):
+    sweeping = picker and getattr(args, picker)
+    if sweeping:
         if args.t_even is not None or args.t_odd is not None:
             parser.error(f"{args.command} --{picker} takes no --t-even or --t-odd")
         if args.t_max is None:
@@ -320,6 +319,17 @@ def main(argv=None):
         parser.error(f"{args.command} needs --t-even and --t-odd (or --{picker})")
     elif picker and args.t_max is not None:
         parser.error(f"{args.command} --t-max needs --{picker}")
+    # the threshold options are checked once, before any file is read; the
+    # verbs take the checked values. A sweep's last cell is (t_max, t_max),
+    # and checking it checks every cell.
+    try:
+        if sweeping:
+            PreprocessParams(args.shift, args.t_max, args.t_max)
+        elif hasattr(args, "t_even"):
+            args.params = PreprocessParams(args.shift, args.t_even, args.t_odd)
+    except ValidationError as exc:
+        hint = f" (--{picker} runs t_even and t_odd up to --t-max)" if sweeping else ""
+        parser.error(f"{exc}{hint}")
     try:
         return args.func(args)
     except BoundShiftError as exc:

@@ -5,44 +5,29 @@ encoder emits the canonical header form ``P5\\n<w> <h>\\n255\\n`` so that
 write -> read -> write is byte-identical.
 """
 
+import re
+
 import numpy as np
 
 from .errors import PgmFormatError
 from .imagecore import as_gray
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
+# In a bytes pattern \s is exactly PGM's whitespace, b" \t\n\r\x0b\x0c". A
+# header token follows whitespace and '#' comments (running to the end of
+# the line); a P2 sample follows whitespace alone. The captured token is
+# empty only at the end of the data.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+_SAMPLE = re.compile(rb"\s*(\S*)")
 
 
-def _skip_separators(data, pos, allow_comments):
-    """Advance past whitespace (and, in the header, '#' comments)."""
-    n = len(data)
-    while pos < n:
-        b = data[pos]
-        if b in _WHITESPACE:
-            pos += 1
-        elif allow_comments and b == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    return pos
-
-
-def _next_token(data, pos, allow_comments, what):
-    pos = _skip_separators(data, pos, allow_comments)
-    if pos >= len(data):
+def _int_token(pattern, data, pos, what, max_value):
+    m = pattern.match(data, pos)
+    tok, start = m.group(1), m.start(1)
+    if not tok:
         raise PgmFormatError(f"unexpected end of data while reading {what}", offset=len(data))
-    start = pos
-    n = len(data)
-    while pos < n and data[pos] not in _WHITESPACE and not (allow_comments and data[pos] == ord("#")):
-        pos += 1
-    return data[start:pos], start, pos
-
-
-def _int_token(data, pos, allow_comments, what, max_value):
-    tok, start, pos = _next_token(data, pos, allow_comments, what)
     if not tok.isdigit():
-        raise PgmFormatError(f"non-numeric {what} token {tok!r}", offset=start)
+        more = f"... of {len(tok)} bytes" if len(tok) > 16 else ""
+        raise PgmFormatError(f"non-numeric {what} token {tok[:16]!r}{more}", offset=start)
     # rejected unconverted: int() refuses strings of more than 4300 digits,
     # leading zeros included
     digits = tok.lstrip(b"0")
@@ -52,7 +37,7 @@ def _int_token(data, pos, allow_comments, what, max_value):
     value = int(digits or b"0")
     if value > max_value:
         raise PgmFormatError(f"{what} {value} exceeds {max_value}", offset=start)
-    return value, start, pos
+    return value, start, m.end()
 
 
 def read_pgm(data):
@@ -65,19 +50,19 @@ def read_pgm(data):
         raise PgmFormatError(f"unsupported PGM flavor {magic!r}", offset=0)
     pos = 2
 
-    width, w_off, pos = _int_token(data, pos, True, "width", 2**31 - 1)
+    width, w_off, pos = _int_token(_HEADER_TOKEN, data, pos, "width", 2**31 - 1)
     if width < 1:
         raise PgmFormatError("width must be positive", offset=w_off)
-    height, h_off, pos = _int_token(data, pos, True, "height", 2**31 - 1)
+    height, h_off, pos = _int_token(_HEADER_TOKEN, data, pos, "height", 2**31 - 1)
     if height < 1:
         raise PgmFormatError("height must be positive", offset=h_off)
-    maxval, m_off, pos = _int_token(data, pos, True, "maxval", 2**31 - 1)
+    maxval, m_off, pos = _int_token(_HEADER_TOKEN, data, pos, "maxval", 2**31 - 1)
     if not 1 <= maxval <= 255:
         raise PgmFormatError(f"maxval {maxval} unsupported (need 1..255)", offset=m_off)
 
     count = width * height
     if magic == b"P5":
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos:pos + 1].isspace():
             raise PgmFormatError("maxval must be followed by one whitespace byte", offset=pos)
         pos += 1
         raster = data[pos:pos + count]
@@ -106,13 +91,13 @@ def read_pgm(data):
         )
     values = np.empty(count, dtype=np.uint8)
     for k in range(count):
-        v, v_off, pos = _int_token(data, pos, False, "raster", 2**31 - 1)
+        v, v_off, pos = _int_token(_SAMPLE, data, pos, "raster", 2**31 - 1)
         if v > maxval:
             raise PgmFormatError(f"pixel value {v} exceeds maxval {maxval}", offset=v_off)
         values[k] = v
-    tail = _skip_separators(data, pos, False)
-    if tail != len(data):
-        raise PgmFormatError("trailing data after raster", offset=tail)
+    tail = _SAMPLE.match(data, pos)
+    if tail.group(1):
+        raise PgmFormatError("trailing data after raster", offset=tail.start(1))
     return values.reshape(height, width)
 
 

@@ -246,6 +246,31 @@ def test_t_max_without_the_picking_option_is_a_usage_error(tmp_path, capsys, com
     assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("options", [
+    ("analyze", "--t-even", "0", "--t-odd", "4"),
+    ("analyze", "--sweep", "--t-max", "0"),
+    ("analyze", "--sweep", "--t-max", "130"),
+    ("embed", "--auto", "--t-max", "128"),
+], ids=" ".join)
+def test_invalid_threshold_options_fail_before_any_file_is_read(tmp_path, capsys, options):
+    command, *given = options
+    cover = _write_cover(tmp_path)
+    _write_cover(tmp_path, name="second.pgm", seed=31)
+    pay = tmp_path / "p.bin"
+    pay.write_bytes(b"x")
+    if command == "embed":
+        argv = ["embed", str(cover), "--payload", str(pay), "--out", str(tmp_path / "m.pgm")]
+    else:
+        argv = ["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *given])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "must be in [1, 127]" in err
+    assert "skipping" not in err
+    assert not (tmp_path / "m.pgm").exists() and not (tmp_path / "r.csv").exists()
+
+
 def test_analyze_sweep_defaults_to_t_max_16(tmp_path):
     save_pgm(tmp_path / "z.pgm", np.zeros((8, 8), dtype=np.uint8))
     report = tmp_path / "r.csv"

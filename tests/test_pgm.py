@@ -37,6 +37,7 @@ def test_header_whitespace_and_comment_forms():
         b"P5\t3\r\n2\n255\n" + raster,
         b"P5\n# a comment\n3 2\n# another\n255\n" + raster,
         b"P5 # trailing comment\n3 2 255 " + raster,
+        b"P5\x0b3\x0c2 # ended by a carriage return\r255\n" + raster,
     ]
     for data in variants:
         img = read_pgm(data)
@@ -72,6 +73,9 @@ def test_maxval_below_255_accepted_when_pixels_fit():
         (b"P2\n2 1\n255\n1 2 3", 15),                  # trailing sample
         pytest.param(b"P5\n" + b"9" * 5000 + b" 2\n255\n\x00", 3, id="width-of-5000-digits"),
         pytest.param(b"P2\n2 1\n10\n1 " + b"9" * 5000, 12, id="sample-of-5000-digits"),
+        (b"P5\n2\x1c2\n255\n" + bytes(4), 3),          # \x1c is no separator
+        (b"P2\n2 1\n255\n1\xa02", 11),                  # nor is \xa0
+        pytest.param(b"P2\n1 1\n255\n" + b"x" * 10**6, 11, id="non-numeric-sample-of-1MB"),
     ],
 )
 def test_decode_errors_report_byte_offsets(data, offset):
@@ -79,6 +83,7 @@ def test_decode_errors_report_byte_offsets(data, offset):
         read_pgm(data)
     assert exc.value.offset == offset
     assert f"byte offset {offset}" in str(exc.value)
+    assert len(str(exc.value)) < 200
 
 
 def test_p5_pixel_above_maxval_offset_points_at_pixel():
