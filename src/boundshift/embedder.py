@@ -24,7 +24,7 @@ import numpy as np
 
 from .codec import CompressedMap
 from .errors import CapacityError, CorruptionError, ValidationError
-from .imagecore import as_gray, parity_mask
+from .imagecore import as_gray
 from .predictor import predict_grid
 from .preprocess import PreprocessParams
 
@@ -58,6 +58,14 @@ def as_bits(bits):
     return a.astype(np.uint8)
 
 
+def _with_even(grid, pred, errors, dtype):
+    """grid as dtype, with pred + errors (laid out by _even_errors) in its even cells."""
+    out, w = grid.astype(dtype), grid.shape[1]
+    np.add(pred[0::2, 0::2], errors[0::2], out=out[0::2, 0::2], casting="unsafe")
+    np.add(pred[1::2, 1::2], errors[1::2, :w // 2], out=out[1::2, 1::2], casting="unsafe")
+    return out
+
+
 class PredictionErrorEmbedder:
     """Histogram shifting on even-lattice prediction errors, peaks 0 and -1;
     pixels must lie in [1, 254] and move by at most max_shift."""
@@ -65,23 +73,21 @@ class PredictionErrorEmbedder:
     max_shift = 1
 
     def _even_errors(self, grid):
-        """(flat indices of the even cells, their prediction errors as int32,
-        their predictions) for a uint8 grid."""
+        """(the even cells' prediction errors, the predictions) for a uint8
+        grid. The two strided sub-lattices g[0::2, 0::2] and g[1::2, 1::2]
+        interleave by row into one (h, ceil(w/2)) int16 grid of errors in
+        raster order; a row one even cell short ends in 2, which carries no bit."""
         pred = predict_grid(grid)
-        even = parity_mask(grid.shape[0], grid.shape[1], 0)
-        idx = np.flatnonzero(even.ravel())
-        pred = pred.ravel()[idx]
-        return idx, grid.ravel()[idx] - pred, pred
+        h, w = grid.shape
+        errors = np.full((h, (w + 1) // 2), 2, dtype=np.int16)
+        np.subtract(grid[0::2, 0::2], pred[0::2, 0::2], out=errors[0::2])
+        np.subtract(grid[1::2, 1::2], pred[1::2, 1::2], out=errors[1::2, :w // 2])
+        return errors, pred
 
     def capacity(self, img):
         """Number of payload bits img can carry."""
-        a = as_gray(img)
-        _, errors, _ = self._even_errors(a)
+        errors, _ = self._even_errors(as_gray(img))
         return int(((errors == 0) | (errors == -1)).sum())
-
-    # Masks select cells through np.flatnonzero and the bits shift through
-    # arithmetic on comparisons: masked indexing branches on every cell and
-    # costs several times more on these scattered patterns.
 
     def embed(self, img, bits):
         """Return a marked image carrying bits, unused carriers filled with zeros."""
@@ -89,7 +95,7 @@ class PredictionErrorEmbedder:
         payload = as_bits(bits)
         if a.size and (int(a.min()) < 1 or int(a.max()) > 254):
             raise ValidationError("embedding needs pixels in [1, 254]")
-        idx, errors, pred = self._even_errors(a)
+        errors, pred = self._even_errors(a)
         carriers = np.flatnonzero((errors == 0) | (errors == -1))
         room = carriers.size
         if payload.size > room:
@@ -97,26 +103,24 @@ class PredictionErrorEmbedder:
                 f"payload of {payload.size} bits exceeds capacity {room}",
                 deficit_bits=payload.size - room,
             )
-        fill = np.zeros(room, dtype=np.int32)
-        fill[: payload.size] = payload
         coded = errors + (errors >= 1) - (errors <= -2)
-        coded[carriers] = np.where(errors[carriers] == 0, fill, -1 - fill)
-        flat = a.flatten()
-        flat[idx] = pred + coded
-        return flat.reshape(a.shape)
+        # a 1 bit moves a carrier's error e to e + (2e + 1): 0 to 1, -1 to -2
+        used = carriers[:payload.size]
+        e = errors.ravel()[used]
+        coded.ravel()[used] = e + payload * (2 * e + 1)
+        return _with_even(a, pred, coded, np.uint8)
 
     def extract(self, marked):
         """Return (full carrier bit stream, original image)."""
         a = as_gray(marked)
-        idx, coded, pred = self._even_errors(a)
-        c = coded[np.flatnonzero((coded >= -2) & (coded <= 1))]
+        coded, pred = self._even_errors(a)
+        # picked through np.flatnonzero: masked indexing branches on every cell
+        c = coded.ravel()[np.flatnonzero((coded >= -2) & (coded <= 1))]
         bits = np.where(c >= 0, c, -(c + 1)).astype(np.uint8)
-        restored = pred + (coded - (coded >= 1) + (coded <= -2))
+        restored = _with_even(a, pred, coded - (coded >= 1) + (coded <= -2), np.int16)
         if int(restored.min()) < 0 or int(restored.max()) > 255:
             raise CorruptionError("recovered pre-embedding image leaves [0, 255]")
-        flat = a.flatten()
-        flat[idx] = restored
-        return bits, flat.reshape(a.shape)
+        return bits, restored.astype(np.uint8)
 
 
 def frame_payload(payload, cmap, params, checksum):

@@ -1,6 +1,5 @@
-"""Grid primitives: image validation, checkerboard parity, boundary census, PSNR."""
+"""Grid primitives: image validation, boundary census, PSNR."""
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,30 +26,16 @@ def as_gray(img):
 
 def validate_shift_width(shift):
     """Check a guard/shift width: the boundary band [0,shift) u (255-shift,255]."""
-    if not isinstance(shift, (int, np.integer)):
-        raise ValidationError(f"shift width must be an integer, got {shift!r}")
-    if not 1 <= int(shift) <= 127:
-        raise ValidationError(f"shift width must be in [1, 127], got {shift}")
-    return int(shift)
+    return check_param("shift width", shift)
 
 
-def parity_mask(height, width, parity):
-    """Boolean mask selecting all cells of one checkerboard parity; read-only,
-    as it is shared by every caller asking for the same grid."""
-    if parity not in (0, 1):
-        raise ValidationError(f"parity must be 0 or 1, got {parity!r}")
-    return _parity_masks(int(height), int(width))[int(parity)]
-
-
-@functools.lru_cache(maxsize=12)
-def _parity_masks(height, width):
-    # rows 0..h-1 and rows 1..h of one (h + 1) x w checkerboard: the two
-    # parities of a shape share a buffer, and each is a contiguous view.
-    # Twelve shapes cover a folder of the synthetic corpus (nine) without
-    # evicting, and a board is never grown to fit another shape.
-    board = ((np.arange(height + 1)[:, None] + np.arange(width)[None, :]) & 1) == 0
-    board.flags.writeable = False
-    return board[:height], board[1:]
+def check_param(name, value):
+    """value as an int, if it is an integer in [1, 127]; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not 1 <= int(value) <= 127:
+        raise ValidationError(f"{name} must be in [1, 127], got {value}")
+    return int(value)
 
 
 def boundary_mask(img, shift):
@@ -76,8 +61,8 @@ def psnr(a, b):
     y = as_gray(b)
     if x.shape != y.shape:
         raise ValidationError(f"shape mismatch: {x.shape} vs {y.shape}")
-    diff = x.astype(np.int64) - y.astype(np.int64)
-    sse = int((diff * diff).sum())
+    diff = np.subtract(x, y, dtype=np.int16)  # its square fits int32, the sum int64
+    sse = int(np.square(diff, dtype=np.int32).sum(dtype=np.int64))
     if sse == 0:
         return math.inf
     mse = sse / x.size

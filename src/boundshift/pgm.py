@@ -89,6 +89,20 @@ def read_pgm(data):
         raise PgmFormatError(
             f"truncated raster: expected {count} samples", offset=len(data)
         )
+    # One pass reads samples of at most three digits: bytes.split() splits
+    # at exactly PGM's whitespace, a token takes three bytes, zero-padded on
+    # the right, and a longer one, cut short, leaves fewer digits than the
+    # raster holds. Any other raster goes to the per-sample reader, which
+    # finds the first fault or reads samples written with leading zeros.
+    tokens = data[pos:].split()
+    joined = b"".join(tokens)
+    digits = np.array(tokens, dtype="S3").view(np.uint8).reshape(-1, 3)
+    values = np.zeros(len(tokens), dtype=np.int16)
+    for column in digits.T:
+        values = np.where(column > 0, 10 * values + column - 48, values)
+    if (len(tokens) == count and joined.isdigit() and np.count_nonzero(digits) == len(joined)
+            and values.max() <= maxval):
+        return values.astype(np.uint8).reshape(height, width)
     values = np.empty(count, dtype=np.uint8)
     for k in range(count):
         v, v_off, pos = _int_token(_SAMPLE, data, pos, "raster", 2**31 - 1)

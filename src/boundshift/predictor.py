@@ -8,27 +8,24 @@ arithmetic; tests/oracle_predict.py holds the per-cell reference that
 predict_grid is checked against.
 
 Every cell off the border has four neighbors, so its mean is a 2-bit shift
-of an int32 sum; only the border ring (two or three neighbors, or one on a
-single-row or single-column grid) divides by its true count.
+of the neighbors' sum; only the border ring (two or three neighbors, or one
+on a single-row or single-column grid) divides by its true count.
 """
 
 import numpy as np
 
 from .errors import ValidationError
 
-# Bound on |value| that keeps the int32 arithmetic exact: four neighbors
-# plus the rounding offset stay within 2**30 + 2, and twice a border total
-# of three neighbors plus its count within 1.5 * 2**30 + 3.
+# Bounds on |value| that keep the sums exact: twice a border total of three
+# neighbors plus its count, and four neighbors plus the rounding offset, stay
+# within 24,579 in int16 and 1.5 * 2**30 + 3 in int32.
+_LIMIT16 = 1 << 12
 _LIMIT = 1 << 28
 
 
-def _round_half_away(total, count):
-    """total / count rounded to the nearest integer, ties away from zero."""
-    return (2 * np.abs(total) + count) // (2 * count) * np.sign(total)
-
-
 def predict_grid(img):
-    """Predictions for every cell at once; int32 grid, same shape as img.
+    """Predictions for every cell at once, same shape as img: an int16 grid
+    when every |value| is at most 2**12 (always for uint8), else int32.
 
     Values of magnitude above 2**28 raise ValidationError rather than
     overflow the int32 arithmetic.
@@ -41,11 +38,13 @@ def predict_grid(img):
         raise ValidationError("1x1 grid has no neighbors to predict from")
     if not np.issubdtype(a.dtype, np.integer):
         a = a.astype(np.int64)
+    bound = max(-int(a.min()), int(a.max())) if a.size and a.dtype.itemsize > 1 else 0
+    if bound > _LIMIT:
+        raise ValidationError("grid values must lie in [-2**28, 2**28] to predict")
+    dtype = np.int16 if bound <= _LIMIT16 else np.int32
     if a.dtype.itemsize > 2:
-        if a.size and (int(a.min()) < -_LIMIT or int(a.max()) > _LIMIT):
-            raise ValidationError("grid values must lie in [-2**28, 2**28] to predict")
-        a = a.astype(np.int32)
-    total = np.zeros((h, w), dtype=np.int32)
+        a = a.astype(dtype)
+    total = np.zeros((h, w), dtype=dtype)
     if not total.size:
         return total
     total[1:] += a[:-1]
@@ -57,14 +56,15 @@ def predict_grid(img):
     # one neighbor less everywhere, and its ring holds each cell twice.
     ring = np.concatenate((total[0], total[-1], total[1:-1, 0], total[1:-1, -1]))
     sides = 3 - (h == 1) - (w == 1)
-    count = np.full(ring.size, sides, dtype=np.int32)
+    count = np.full(ring.size, sides, dtype=dtype)
     count[[0, w - 1, w, 2 * w - 1]] = sides - 1
-    ring = _round_half_away(ring, count)
+    # ring / count rounded to the nearest integer, ties away from zero
+    ring = (2 * np.abs(ring) + count) // (2 * count) * np.sign(ring)
     # Inside, four neighbors: (total + 2) >> 2 rounds halves up, and one
-    # less for a negative total (total >> 31 is -1) rounds them down, so
-    # ties go away from zero.
+    # less for a negative total (shifted right by all but its sign bit, -1)
+    # rounds them down, so ties go away from zero.
     inner = total[1:-1, 1:-1]
-    sign = inner >> 31
+    sign = inner >> (8 * inner.itemsize - 1)
     inner += 2
     inner += sign
     inner >>= 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, ValidationError
-from .imagecore import LocationMap, as_gray, parity_mask, validate_shift_width
+from .imagecore import LocationMap, as_gray, check_param, validate_shift_width
 from .predictor import predict_grid
 
 
@@ -38,12 +38,8 @@ class PreprocessParams:
 
     def __post_init__(self):
         validate_shift_width(self.shift)
-        for name in ("t_even", "t_odd"):
-            t = getattr(self, name)
-            if not isinstance(t, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {t!r}")
-            if not 1 <= int(t) <= 127:
-                raise ValidationError(f"{name} must be in [1, 127], got {t}")
+        check_param("t_even", self.t_even)
+        check_param("t_odd", self.t_odd)
 
 
 @dataclass(eq=False)
@@ -58,12 +54,13 @@ class PreprocessOutput:
 def _apply_pass(grid, pred, parity, threshold, shift, direction):
     """One pass over a single parity, given pred = predict_grid(grid);
     direction +1 applies, -1 undoes."""
-    cells = parity_mask(grid.shape[0], grid.shape[1], parity)
-    # 1 on cells that move up, -1 on cells that move down, 0 elsewhere: an
-    # add, where a masked += would branch on every cell
-    step = (cells & (pred < threshold)).view(np.int8)
-    step -= (cells & (pred > 255 - threshold)).view(np.int8)
+    # +-1 or 0 steps, cleared on the two strided sub-lattices of the other
+    # parity, then one add: a masked += would branch on every cell, and
+    # comparing the strided sub-lattices themselves costs twice as much
+    step = (pred < threshold).view(np.int8) - (pred > 255 - threshold).view(np.int8)
     step *= direction * shift
+    step[0::2, 1 - parity::2] = 0
+    step[1::2, parity::2] = 0
     return grid + step
 
 

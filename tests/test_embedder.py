@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.random import default_rng
 
 from boundshift import (
+    BoundShiftError,
     CapacityError,
     CompressedMap,
     CorruptionError,
@@ -21,7 +23,7 @@ from boundshift.embedder import (
     frame_payload,
 )
 
-from oracle_predict import predict
+import oracle_embed
 
 EMB = PredictionErrorEmbedder()
 
@@ -31,16 +33,6 @@ GOLDEN_HEADER = bytes.fromhex("b5010101040000000000000000")
 # version 02, shift 01, t_even 01, t_odd 04, map bits 0, payload bits 0,
 # then the CRC-32 field, here the fixed value cbf43926.
 GOLDEN_HEADER_V2 = bytes.fromhex("b5" "02" "01" "01" "04" "00000000" "00000000" "cbf43926")
-
-
-def _brute_capacity(img):
-    a = np.asarray(img, dtype=np.int64)
-    n = 0
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if (i + j) % 2 == 0 and a[i, j] - predict(a, i, j) in (0, -1):
-                n += 1
-    return n
 
 
 def test_bit_helpers_msb_first():
@@ -84,7 +76,52 @@ def test_capacity_matches_brute_force():
     for _ in range(15):
         h, w = int(rng.integers(2, 14)), int(rng.integers(2, 14))
         img = rng.integers(1, 255, (h, w), dtype=np.int64).astype(np.uint8)
-        assert EMB.capacity(img) == _brute_capacity(img)
+        assert EMB.capacity(img) == oracle_embed.capacity(img)
+
+
+def _same_as_oracle(call, reference):
+    """call() equals reference(), element for element, or raises the same
+    error type with the same message."""
+    try:
+        want = reference()
+    except BoundShiftError as exc:
+        with pytest.raises(type(exc)) as caught:
+            call()
+        assert str(caught.value) == str(exc)
+        return
+    got = call()
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    else:
+        assert got == want
+
+
+# Every shape up to 13x13, single rows and columns and odd widths among
+# them, where the odd rows' sub-lattice is a column shorter. Narrow value
+# spans make errors of 0 and -1 (carriers) and, at the ends of the range,
+# recoveries that leave [0, 255].
+EMBED_SHAPES = st.tuples(st.integers(1, 13), st.integers(1, 13))
+EMBED_SPANS = st.sampled_from([(1, 254), (99, 102), (1, 3), (252, 254)])
+MARKED_SPANS = st.sampled_from([(0, 255), (99, 102), (0, 2), (253, 255)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=EMBED_SHAPES, span=EMBED_SPANS, data=st.data())
+def test_capacity_and_embed_match_the_scalar_oracle(shape, span, data):
+    img = data.draw(arrays(np.uint8, shape, elements=st.integers(*span)))
+    _same_as_oracle(lambda: EMB.capacity(img), lambda: oracle_embed.capacity(img))
+    n = data.draw(st.integers(0, (shape[0] * shape[1] + 1) // 2 + 1))
+    bits = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+    _same_as_oracle(lambda: (EMB.embed(img, bits),), lambda: (oracle_embed.embed(img, bits),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=EMBED_SHAPES, span=MARKED_SPANS, data=st.data())
+def test_extract_matches_the_scalar_oracle(shape, span, data):
+    marked = data.draw(arrays(np.uint8, shape, elements=st.integers(*span)))
+    _same_as_oracle(lambda: EMB.extract(marked), lambda: oracle_embed.extract(marked))
 
 
 def test_constant_image_capacity_is_even_cell_count():

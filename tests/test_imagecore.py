@@ -1,12 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from boundshift import LocationMap, ValidationError, count_boundary_pixels, psnr
-from boundshift.imagecore import parity_mask
 from boundshift.imagecore import as_gray, validate_shift_width
 
 from oracle_predict import parity_of
@@ -45,18 +43,14 @@ def test_validate_shift_width_bounds():
             validate_shift_width(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_validate_shift_width_rejects_bools(flag):
+    with pytest.raises(ValidationError, match="shift width must be an integer"):
+        validate_shift_width(flag)
+
+
 def test_parity_checkerboard():
     assert parity_of(0, 0) == 0 and parity_of(0, 1) == 1 and parity_of(2, 3) == 1
-    even = parity_mask(3, 3, 0)
-    assert even.tolist() == [
-        [True, False, True],
-        [False, True, False],
-        [True, False, True],
-    ]
-    odd = parity_mask(3, 3, 1)
-    assert (even ^ odd).all()
-    with pytest.raises(ValidationError):
-        parity_mask(3, 3, 2)
 
 
 def test_count_boundary_pixels_hand_cases():
@@ -117,37 +111,3 @@ def test_location_map_validation():
     for alpha in (1, 257):
         with pytest.raises(ValidationError):
             LocationMap(np.zeros((2, 2), dtype=np.uint8), alpha)
-
-
-def test_parity_mask_is_shared_and_read_only():
-    mask = parity_mask(4, 6, 1)
-    assert parity_mask(4, 6, 1) is mask
-    with pytest.raises(ValueError):
-        mask[0, 0] = True
-
-
-def test_parity_masks_are_right_on_every_shape():
-    # shapes repeated after others, so a mask is checked after its cache
-    # entry has been made
-    for h, w in [(2, 3), (7, 2), (3, 9), (1, 1), (7, 2), (12, 12), (2, 3)]:
-        for parity in (0, 1):
-            mask = parity_mask(h, w, parity)
-            ii, jj = np.indices((h, w))
-            assert mask.shape == (h, w)
-            assert np.array_equal(mask, (ii + jj) % 2 == parity)
-            assert parity_mask(h, w, parity) is mask
-            assert not mask.flags.writeable
-
-
-def test_parity_masks_of_wide_and_tall_grids_stay_small():
-    # a 2 x n and an n x 2 grid span n x n between them; the masks of a
-    # shape must cost about its own area, not that of every shape seen
-    n = 5000
-    tracemalloc.start()
-    try:
-        masks = [parity_mask(h, w, parity) for h, w in [(2, n), (n, 2)] for parity in (0, 1)]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * n
-    assert masks[0][1, n - 1] == (n % 2 == 0)

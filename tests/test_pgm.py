@@ -49,6 +49,21 @@ def test_p2_parses_arbitrary_separators():
     assert read_pgm(data).ravel().tolist() == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize("raster, values", [
+    (b"0007 255 012 0\n", [7, 255, 12, 0]),     # leading zeros: sample by sample
+    (b"1\x002 3 4", None),                      # a NUL byte is a non-numeric token
+    (b"9 99 999 256", None),                     # above maxval
+    (b"10 0010 1 2", [10, 10, 1, 2]),            # four digits cut to three would be 1
+])
+def test_p2_fast_and_per_sample_readers_agree(raster, values):
+    data = b"P2\n2 2\n255\n" + raster
+    if values is None:
+        with pytest.raises(PgmFormatError):
+            read_pgm(data)
+    else:
+        assert read_pgm(data).ravel().tolist() == values
+
+
 def test_maxval_below_255_accepted_when_pixels_fit():
     img = read_pgm(b"P5\n2 1\n15\n" + bytes([0, 15]))
     assert img.tolist() == [[0, 15]]

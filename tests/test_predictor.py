@@ -94,10 +94,12 @@ SHAPES = st.one_of(
     st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda k: (2 * k[0] + 1, 2 * k[1] + 1)),
     st.tuples(st.integers(2, 13), st.integers(2, 13)),
 )
-# Pixels, the range inverse() predicts over, signed values, and values
-# around zero, where negative totals tie on interior and border cells alike.
+# Pixels, the range inverse() predicts over, signed values, values around
+# zero, where negative totals tie on interior and border cells alike, and
+# values across +-2**12, where the sums switch from int16 to int32.
 SPANS = st.sampled_from([
     (np.uint8, 0, 255), (np.int16, -254, 509), (np.int64, -300, 300), (np.int16, -3, 1),
+    (np.int16, -(2**12) - 3, 2**12 + 3),
 ])
 
 
@@ -126,6 +128,16 @@ def test_predict_grid_is_exact_at_its_value_limit():
     rng = default_rng(5)
     img = rng.choice([-(2**28), 2**28, 2**28 - 1, -(2**28) + 1], (5, 6))
     grid = predict_grid(img)
+    for (i, j), p in np.ndenumerate(grid):
+        assert p == predict(img, i, j), (i, j)
+
+
+@pytest.mark.parametrize("limit, dtype", [(2**12, np.int16), (2**12 + 1, np.int32)])
+def test_predict_grid_sums_in_int16_up_to_2_to_the_12(limit, dtype):
+    rng = default_rng(5)
+    img = rng.choice([-limit, limit, limit - 1, -limit + 1], (5, 6)).astype(np.int16)
+    grid = predict_grid(img)
+    assert grid.dtype == dtype
     for (i, j), p in np.ndenumerate(grid):
         assert p == predict(img, i, j), (i, j)
 

@@ -37,6 +37,14 @@ def test_params_validation():
             PreprocessParams(*bad)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("field", ["shift width", "t_even", "t_odd"])
+def test_params_reject_bools(field, flag):
+    args = [flag if name == field else 1 for name in ("shift width", "t_even", "t_odd")]
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        PreprocessParams(*args)
+
+
 def test_even_pass_moves_only_even_cells():
     grid = np.zeros((4, 4), dtype=np.int64)
     out = _threshold_shift(grid, 0, 1, 1, +1)
