@@ -69,6 +69,16 @@ class CompressedMap:
     data: bytes
 
     def __post_init__(self):
+        # stored as int and bytes (set through object, the class being
+        # frozen), so NumPy integers cannot wrap in width * height
+        for name in ("alphabet_size", "width", "height", "bit_length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.data, (bytes, bytearray, memoryview)):
+            raise ValidationError(f"data must be bytes-like, got {type(self.data).__name__}")
+        object.__setattr__(self, "data", bytes(self.data))
         if not 2 <= self.alphabet_size <= 256:
             raise ValidationError(f"alphabet_size must be in [2, 256], got {self.alphabet_size}")
         if self.width < 0 or self.height < 0:

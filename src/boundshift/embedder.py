@@ -38,8 +38,6 @@ _V1_HEADER_BITS = 8 * _HEADER_V1.size
 
 def bytes_to_bits(data):
     """Expand bytes into a 0/1 uint8 array, most significant bit first."""
-    if not data:
-        return np.zeros(0, dtype=np.uint8)
     return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
 
 
@@ -93,7 +91,7 @@ class PredictionErrorEmbedder:
         """Return a marked image carrying bits, unused carriers filled with zeros."""
         a = as_gray(img)
         payload = as_bits(bits)
-        if a.size and (int(a.min()) < 1 or int(a.max()) > 254):
+        if int(a.min()) < 1 or int(a.max()) > 254:
             raise ValidationError("embedding needs pixels in [1, 254]")
         errors, pred = self._even_errors(a)
         carriers = np.flatnonzero((errors == 0) | (errors == -1))

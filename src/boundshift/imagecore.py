@@ -19,7 +19,7 @@ def as_gray(img):
         return a
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"pixel dtype must be integer, got {a.dtype}")
-    if a.size and (int(a.min()) < 0 or int(a.max()) > 255):
+    if int(a.min()) < 0 or int(a.max()) > 255:
         raise ValidationError("pixel values outside [0, 255]")
     return a.astype(np.uint8)
 
@@ -94,11 +94,3 @@ class LocationMap:
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.alphabet_size):
             raise ValidationError("map symbol outside [0, alphabet_size)")
         self.symbols = a.astype(np.uint8)
-
-    @property
-    def height(self):
-        return self.symbols.shape[0]
-
-    @property
-    def width(self):
-        return self.symbols.shape[1]

@@ -18,9 +18,11 @@ from .imagecore import as_gray
 # empty only at the end of the data.
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 _SAMPLE = re.compile(rb"\s*(\S*)")
+# The largest number a header or sample token may hold.
+_MAX_INT = 2**31 - 1
 
 
-def _int_token(pattern, data, pos, what, max_value):
+def _int_token(pattern, data, pos, what):
     m = pattern.match(data, pos)
     tok, start = m.group(1), m.start(1)
     if not tok:
@@ -31,12 +33,12 @@ def _int_token(pattern, data, pos, what, max_value):
     # rejected unconverted: int() refuses strings of more than 4300 digits,
     # leading zeros included
     digits = tok.lstrip(b"0")
-    if len(digits) > len(str(max_value)):
-        raise PgmFormatError(f"{what} token of {len(tok)} digits exceeds {max_value}",
+    if len(digits) > len(str(_MAX_INT)):
+        raise PgmFormatError(f"{what} token of {len(tok)} digits exceeds {_MAX_INT}",
                              offset=start)
     value = int(digits or b"0")
-    if value > max_value:
-        raise PgmFormatError(f"{what} {value} exceeds {max_value}", offset=start)
+    if value > _MAX_INT:
+        raise PgmFormatError(f"{what} {value} exceeds {_MAX_INT}", offset=start)
     return value, start, m.end()
 
 
@@ -50,13 +52,13 @@ def read_pgm(data):
         raise PgmFormatError(f"unsupported PGM flavor {magic!r}", offset=0)
     pos = 2
 
-    width, w_off, pos = _int_token(_HEADER_TOKEN, data, pos, "width", 2**31 - 1)
+    width, w_off, pos = _int_token(_HEADER_TOKEN, data, pos, "width")
     if width < 1:
         raise PgmFormatError("width must be positive", offset=w_off)
-    height, h_off, pos = _int_token(_HEADER_TOKEN, data, pos, "height", 2**31 - 1)
+    height, h_off, pos = _int_token(_HEADER_TOKEN, data, pos, "height")
     if height < 1:
         raise PgmFormatError("height must be positive", offset=h_off)
-    maxval, m_off, pos = _int_token(_HEADER_TOKEN, data, pos, "maxval", 2**31 - 1)
+    maxval, m_off, pos = _int_token(_HEADER_TOKEN, data, pos, "maxval")
     if not 1 <= maxval <= 255:
         raise PgmFormatError(f"maxval {maxval} unsupported (need 1..255)", offset=m_off)
 
@@ -105,7 +107,7 @@ def read_pgm(data):
         return values.astype(np.uint8).reshape(height, width)
     values = np.empty(count, dtype=np.uint8)
     for k in range(count):
-        v, v_off, pos = _int_token(_SAMPLE, data, pos, "raster", 2**31 - 1)
+        v, v_off, pos = _int_token(_SAMPLE, data, pos, "raster")
         if v > maxval:
             raise PgmFormatError(f"pixel value {v} exceeds maxval {maxval}", offset=v_off)
         values[k] = v

@@ -192,6 +192,8 @@ def evaluate_cell(cover, params, state=None):
         raise ValidationError("params must be a PreprocessParams")
     if state is None:
         before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
+    elif not isinstance(state, _SweepState):
+        raise ValidationError("state must be a sweep's state")
     elif params.shift != state.passes.shift or not np.array_equal(a, state.cover):
         raise ValidationError("state was built for another cover or shift width")
     else:
@@ -237,7 +239,7 @@ def sweep(cover, t_range, shift):
             f"t_range must be an iterable of integers, got {t_range!r}") from None
     values = list(values)
     for v in values:
-        if not isinstance(v, (int, np.integer)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValidationError(f"t_range must hold integers, got {v!r}")
     thresholds = sorted(set(int(v) for v in values))
     if not thresholds:

@@ -16,19 +16,18 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Bounds on |value| that keep the sums exact: twice a border total of three
-# neighbors plus its count, and four neighbors plus the rounding offset, stay
-# within 24,579 in int16 and 1.5 * 2**30 + 3 in int32.
-_LIMIT16 = 1 << 12
-_LIMIT = 1 << 28
+# The bound on |value| that keeps the int16 sums exact: twice a border total
+# of three neighbors plus its count is at most 2 * 3 * 4096 + 3 = 24,579, and
+# four neighbors plus the rounding offset 4 * 4096 + 2.
+_LIMIT = 1 << 12
 
 
 def predict_grid(img):
-    """Predictions for every cell at once, same shape as img: an int16 grid
-    when every |value| is at most 2**12 (always for uint8), else int32.
+    """Predictions for every cell at once: an int16 grid of img's shape.
 
-    Values of magnitude above 2**28 raise ValidationError rather than
-    overflow the int32 arithmetic.
+    img must hold integers of magnitude at most 2**12, as every uint8 and
+    int8 grid does; any other grid raises ValidationError rather than
+    overflow the int16 sums.
     """
     a = np.asarray(img)
     if a.ndim != 2:
@@ -37,16 +36,14 @@ def predict_grid(img):
     if h == 1 and w == 1:
         raise ValidationError("1x1 grid has no neighbors to predict from")
     if not np.issubdtype(a.dtype, np.integer):
-        a = a.astype(np.int64)
-    bound = max(-int(a.min()), int(a.max())) if a.size and a.dtype.itemsize > 1 else 0
-    if bound > _LIMIT:
-        raise ValidationError("grid values must lie in [-2**28, 2**28] to predict")
-    dtype = np.int16 if bound <= _LIMIT16 else np.int32
-    if a.dtype.itemsize > 2:
-        a = a.astype(dtype)
-    total = np.zeros((h, w), dtype=dtype)
+        raise ValidationError(f"grid values must be integers, got {a.dtype}")
+    total = np.zeros((h, w), dtype=np.int16)
     if not total.size:
         return total
+    if a.dtype.itemsize > 1:
+        if int(a.min()) < -_LIMIT or int(a.max()) > _LIMIT:
+            raise ValidationError("grid values must lie in [-2**12, 2**12] to predict")
+        a = a.astype(np.int16, copy=False)
     total[1:] += a[:-1]
     total[:-1] += a[1:]
     total[:, 1:] += a[:, :-1]
@@ -56,7 +53,7 @@ def predict_grid(img):
     # one neighbor less everywhere, and its ring holds each cell twice.
     ring = np.concatenate((total[0], total[-1], total[1:-1, 0], total[1:-1, -1]))
     sides = 3 - (h == 1) - (w == 1)
-    count = np.full(ring.size, sides, dtype=dtype)
+    count = np.full(ring.size, sides, dtype=np.int16)
     count[[0, w - 1, w, 2 * w - 1]] = sides - 1
     # ring / count rounded to the nearest integer, ties away from zero
     ring = (2 * np.abs(ring) + count) // (2 * count) * np.sign(ring)
@@ -64,7 +61,7 @@ def predict_grid(img):
     # less for a negative total (shifted right by all but its sign bit, -1)
     # rounds them down, so ties go away from zero.
     inner = total[1:-1, 1:-1]
-    sign = inner >> (8 * inner.itemsize - 1)
+    sign = inner >> 15
     inner += 2
     inner += sign
     inner >>= 2

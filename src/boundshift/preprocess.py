@@ -53,7 +53,8 @@ class PreprocessOutput:
 
 def _apply_pass(grid, pred, parity, threshold, shift, direction):
     """One pass over a single parity, given pred = predict_grid(grid);
-    direction +1 applies, -1 undoes."""
+    direction +1 applies, -1 undoes. A pass reads only the opposite parity,
+    so apply and undo see identical predictions."""
     # +-1 or 0 steps, cleared on the two strided sub-lattices of the other
     # parity, then one add: a masked += would branch on every cell, and
     # comparing the strided sub-lattices themselves costs twice as much
@@ -62,12 +63,6 @@ def _apply_pass(grid, pred, parity, threshold, shift, direction):
     step[0::2, 1 - parity::2] = 0
     step[1::2, parity::2] = 0
     return grid + step
-
-
-def _threshold_shift(grid, parity, threshold, shift, direction):
-    """Predict, then apply one pass. A pass reads only the opposite parity,
-    so apply and undo see identical predictions."""
-    return _apply_pass(grid, predict_grid(grid), parity, threshold, shift, direction)
 
 
 def _clamp(pass_odd, params):
@@ -158,12 +153,12 @@ def inverse(shifted, locmap, params):
         raise CorruptionError(
             f"map alphabet {locmap.alphabet_size} does not match shift width {t}"
         )
-    if a.size and (int(a.min()) < t or int(a.max()) > 255 - t):
+    if int(a.min()) < t or int(a.max()) > 255 - t:
         raise CorruptionError(f"shifted image has pixels outside [{t}, {255 - t}]")
 
     grid = _unclamp(a, locmap.symbols.astype(np.int16), t)
-    undo_odd = _threshold_shift(grid, 1, params.t_odd, t, -1)
-    undo_even = _threshold_shift(undo_odd, 0, params.t_even, t, -1)
+    undo_odd = _apply_pass(grid, predict_grid(grid), 1, params.t_odd, t, -1)
+    undo_even = _apply_pass(undo_odd, predict_grid(undo_odd), 0, params.t_even, t, -1)
     if int(undo_even.min()) < 0 or int(undo_even.max()) > 255:
         raise CorruptionError("recovered cover leaves [0, 255]; inputs are inconsistent")
     return undo_even.astype(np.uint8)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -189,6 +190,35 @@ def test_compressed_map_length_guard():
         CompressedMap(3, 4, 4, 16, b"\x00")
     with pytest.raises(ValidationError):
         CompressedMap(1, 4, 4, 0, b"")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((2.5, 2, 2, 8, b"\x00"), "alphabet_size must be an integer, got 2.5"),
+    ((3, 2.0, 2, 16, b"ab"), "width must be an integer, got 2.0"),
+    ((3, 2, "2", 16, b"ab"), "height must be an integer, got '2'"),
+    ((3, 2, 2, True, b"\x00"), "bit_length must be an integer, got True"),
+    ((np.True_, 2, 2, 8, b"\x00"), "alphabet_size must be an integer, got "),
+    ((3, 2, 2, 16, "ab"), "data must be bytes-like, got str"),
+    ((3, 2, 2, 16, [0, 0]), "data must be bytes-like, got list"),
+])
+def test_compressed_map_rejects_fields_of_another_type(fields, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        CompressedMap(*fields)
+
+
+def test_compressed_map_takes_numpy_integers_and_any_bytes_type():
+    cmap = compress(GOLDEN_MAP)
+    fields = (np.int64(3), np.uint32(3), np.int16(2), np.int64(cmap.bit_length))
+    want = serialize_map(cmap)
+    for data in (cmap.data, bytearray(cmap.data), memoryview(cmap.data)):
+        other = CompressedMap(*fields, data)
+        assert other == cmap
+        assert serialize_map(other) == want
+        assert np.array_equal(decompress(other).symbols, GOLDEN_MAP.symbols)
+    # uint32 dimensions whose product would wrap to 1 in uint32
+    huge = np.uint32(2**32 - 1)
+    with pytest.raises(CorruptionError, match="exhausted"):
+        decompress(CompressedMap(3, huge, huge, 8, b"\x00"))
 
 
 def test_container_errors():

@@ -101,7 +101,7 @@ def test_psnr_shape_mismatch():
 def test_location_map_validation():
     m = LocationMap(np.array([[0, 1], [2, 2]]), 3)
     assert m.symbols.dtype == np.uint8
-    assert m.height == 2 and m.width == 2
+    assert m.symbols.shape == (2, 2)
     with pytest.raises(ValidationError):
         LocationMap(np.array([[0, 3]]), 3)       # symbol out of alphabet
     with pytest.raises(ValidationError):

@@ -21,11 +21,13 @@ from boundshift import (
     max_payload,
     max_payload_baseline,
     psnr,
+    save_pgm,
     sweep,
 )
-from boundshift import embedder, pipeline, preprocess
+from boundshift import cli, embedder, pipeline, preprocess
 from boundshift.embedder import FRAME_HEADER_BITS, deframe_payload
-from boundshift.fixtures import _pooled_field
+from boundshift.fixtures import _dark, _pooled_field
+from boundshift.predictor import predict_grid
 
 from conftest import smooth_image
 
@@ -93,6 +95,38 @@ def test_round_trip_does_each_step_once(monkeypatch):
     steps = [c for c in calls if c != "predict_grid"]
     assert sorted(steps) == sorted(["forward", "compress", "capacity", "frame_payload",
                                     "deframe_payload", "decompress", "inverse"])
+
+
+def test_every_prediction_takes_the_int16_domain(monkeypatch, tmp_path):
+    inputs, results = [], []
+
+    def traced(img):
+        inputs.append(np.asarray(img))
+        results.append(predict_grid(img))
+        return results[-1]
+
+    cover = _dark(default_rng(17), 32, 32)
+    params = PreprocessParams(1, 1, 4)
+    bits = default_rng(18).integers(0, 2, max_payload(cover, params) // 2, dtype=np.uint8)
+    # wrapped where the callers look it up, as the benchmark traces it
+    for module in (preprocess, embedder, cli):
+        monkeypatch.setattr(module, "predict_grid", traced)
+    _round_trip(cover, bits, params)
+    calls = [len(inputs)]
+    sweep(cover, range(1, 4), 1)
+    calls.append(len(inputs))
+    save_pgm(tmp_path / "dark.pgm", cover)
+    assert cli.main(["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv"),
+                     "--t-even", "1", "--t-odd", "4",
+                     "--joint-hist", str(tmp_path / "joint")]) == 0
+    calls.append(len(inputs))
+    # each run predicted, the last call being the joint histogram's of the cover
+    assert calls[0] == 7 < calls[1] < calls[2]
+    assert np.array_equal(inputs[-1], cover)
+    for a in inputs:
+        assert a.dtype in (np.uint8, np.int16)
+        assert int(np.abs(a.astype(np.int32)).max()) <= 2**12
+    assert all(r.dtype == np.int16 for r in results)
 
 
 def test_empty_payload_still_recovers_cover():

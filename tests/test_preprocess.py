@@ -13,7 +13,8 @@ from boundshift import (
     forward,
     inverse,
 )
-from boundshift.preprocess import _threshold_shift, boundary_count_after
+from boundshift.predictor import predict_grid
+from boundshift.preprocess import _apply_pass, boundary_count_after
 
 from oracle_handtrace import CASE_A, CASE_B, COVER_3X3
 
@@ -47,15 +48,15 @@ def test_params_reject_bools(field, flag):
 
 def test_even_pass_moves_only_even_cells():
     grid = np.zeros((4, 4), dtype=np.int64)
-    out = _threshold_shift(grid, 0, 1, 1, +1)
+    out = _apply_pass(grid, predict_grid(grid), 0, 1, 1, +1)
     assert out[0, 0] == 1 and out[0, 1] == 0 and out[1, 1] == 1
     # and the pass is undone exactly by direction -1
-    assert np.array_equal(_threshold_shift(out, 0, 1, 1, -1), grid)
+    assert np.array_equal(_apply_pass(out, predict_grid(out), 0, 1, 1, -1), grid)
 
 
 def test_bright_side_shifts_down():
     grid = np.full((4, 4), 255, dtype=np.int64)
-    out = _threshold_shift(grid, 0, 1, 2, +1)
+    out = _apply_pass(grid, predict_grid(grid), 0, 1, 2, +1)
     even = (np.add.outer(np.arange(4), np.arange(4)) % 2) == 0
     assert (out[even] == 253).all() and (out[~even] == 255).all()
 

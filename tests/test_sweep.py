@@ -159,6 +159,9 @@ def _cover(shape):
         ((32, 32), None, 1, "t_range must be an iterable of integers, got None"),
         ((32, 32), 5, 0, "shift width must be in [1, 127], got 0"),
         ((1, 5), None, 1, "t_range must be an iterable of integers, got None"),
+        # a bool is not a threshold, as PreprocessParams holds
+        ((4, 4), [True, 2], 1, "t_range must hold integers, got True"),
+        ((32, 32), [1, False], 1, "t_range must hold integers, got False"),
     ],
 )
 def test_sweep_error_paths(shape, t_range, shift, message):
@@ -227,3 +230,9 @@ def test_evaluate_cell_refuses_a_state_of_another_cover_or_shift():
                                (cover, PreprocessParams(2, 3, 5))]:
         with pytest.raises(ValidationError, match="another cover or shift width"):
             pipeline.evaluate_cell(cell_cover, params, state)
+
+
+@pytest.mark.parametrize("state", ["x", 0, pipeline._SweepState])
+def test_evaluate_cell_refuses_a_state_that_is_not_a_sweeps(state):
+    with pytest.raises(ValidationError, match="state must be a sweep's state"):
+        pipeline.evaluate_cell(_cover((16, 16)), PreprocessParams(1, 3, 5), state)
