@@ -336,6 +336,8 @@ def deserialize_map(buf):
 def serialize_side_file(params, cmap):
     """Side-file bytes for preprocess/restore: magic 'LP', u8 shift, t_even,
     t_odd, then the map container."""
+    if not isinstance(params, PreprocessParams):
+        raise ValidationError("expected PreprocessParams")
     header = _SIDE_FILE_HEADER.pack(SIDE_FILE_MAGIC, params.shift, params.t_even, params.t_odd)
     return header + serialize_map(cmap)
 

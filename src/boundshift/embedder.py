@@ -48,7 +48,10 @@ def bits_to_bytes(bits):
 
 def as_bits(bits):
     """Validate a bit sequence and return it as a 1-D uint8 array of 0/1."""
-    a = np.asarray(bits)
+    try:
+        a = np.asarray(bits)
+    except ValueError as exc:
+        raise ValidationError(f"bit stream is not a flat sequence: {exc}") from None
     if a.ndim != 1:
         raise ValidationError(f"bit stream must be 1-D, got shape {a.shape}")
     if a.size and not ((a == 0) | (a == 1)).all():
@@ -56,35 +59,51 @@ def as_bits(bits):
     return a.astype(np.uint8)
 
 
-def _with_even(grid, pred, errors, dtype):
-    """grid as dtype, with pred + errors (laid out by _even_errors) in its even cells."""
+def _with_even(grid, delta, dtype):
+    """grid as dtype, its even cells moved by delta (laid out as _even_errors
+    lays out the errors)."""
     out, w = grid.astype(dtype), grid.shape[1]
-    np.add(pred[0::2, 0::2], errors[0::2], out=out[0::2, 0::2], casting="unsafe")
-    np.add(pred[1::2, 1::2], errors[1::2, :w // 2], out=out[1::2, 1::2], casting="unsafe")
+    np.add(out[0::2, 0::2], delta[0::2], out=out[0::2, 0::2], casting="unsafe")
+    np.add(out[1::2, 1::2], delta[1::2, :w // 2], out=out[1::2, 1::2], casting="unsafe")
     return out
 
 
 class PredictionErrorEmbedder:
     """Histogram shifting on even-lattice prediction errors, peaks 0 and -1;
-    pixels must lie in [1, 254] and move by at most max_shift."""
+    pixels must lie in [1, 254] and move by at most max_shift.
+
+    An embedder keeps the error grid of the last image it analysed, with a
+    private copy of that image, so capacity then embed of one image, or the
+    cells of a sweep whose shifted image repeats, predict it once. The entry
+    is used only for an image equal to the copy, so results are those of a
+    fresh prediction, and it is read and replaced as one tuple, so threads
+    sharing an embedder never see one image's copy with another's errors."""
 
     max_shift = 1
 
+    def __init__(self):
+        self._last = None
+
     def _even_errors(self, grid):
-        """(the even cells' prediction errors, the predictions) for a uint8
-        grid. The two strided sub-lattices g[0::2, 0::2] and g[1::2, 1::2]
-        interleave by row into one (h, ceil(w/2)) int16 grid of errors in
-        raster order; a row one even cell short ends in 2, which carries no bit."""
+        """The even cells' prediction errors of a uint8 grid, read-only. The
+        two strided sub-lattices g[0::2, 0::2] and g[1::2, 1::2] interleave
+        by row into one (h, ceil(w/2)) int16 grid of errors in raster order;
+        a row one even cell short ends in 2, which carries no bit."""
+        last = self._last
+        if last is not None and np.array_equal(last[0], grid):
+            return last[1]
         pred = predict_grid(grid)
         h, w = grid.shape
         errors = np.full((h, (w + 1) // 2), 2, dtype=np.int16)
         np.subtract(grid[0::2, 0::2], pred[0::2, 0::2], out=errors[0::2])
         np.subtract(grid[1::2, 1::2], pred[1::2, 1::2], out=errors[1::2, :w // 2])
-        return errors, pred
+        errors.flags.writeable = False
+        self._last = (grid.copy(), errors)
+        return errors
 
     def capacity(self, img):
         """Number of payload bits img can carry."""
-        errors, _ = self._even_errors(as_gray(img))
+        errors = self._even_errors(as_gray(img))
         return int(((errors == 0) | (errors == -1)).sum())
 
     def embed(self, img, bits):
@@ -93,7 +112,7 @@ class PredictionErrorEmbedder:
         payload = as_bits(bits)
         if int(a.min()) < 1 or int(a.max()) > 254:
             raise ValidationError("embedding needs pixels in [1, 254]")
-        errors, pred = self._even_errors(a)
+        errors = self._even_errors(a)
         carriers = np.flatnonzero((errors == 0) | (errors == -1))
         room = carriers.size
         if payload.size > room:
@@ -101,21 +120,23 @@ class PredictionErrorEmbedder:
                 f"payload of {payload.size} bits exceeds capacity {room}",
                 deficit_bits=payload.size - room,
             )
-        coded = errors + (errors >= 1) - (errors <= -2)
-        # a 1 bit moves a carrier's error e to e + (2e + 1): 0 to 1, -1 to -2
+        # a marked error is e + delta: every other error moves one step away
+        # from zero, and a 1 bit moves a carrier's e by 2e + 1, 0 to 1 and -1 to -2
+        delta = (errors >= 1).view(np.int8) - (errors <= -2).view(np.int8)
         used = carriers[:payload.size]
-        e = errors.ravel()[used]
-        coded.ravel()[used] = e + payload * (2 * e + 1)
-        return _with_even(a, pred, coded, np.uint8)
+        delta.ravel()[used] = payload * (2 * errors.ravel()[used] + 1)
+        return _with_even(a, delta, np.uint8)
 
     def extract(self, marked):
         """Return (full carrier bit stream, original image)."""
         a = as_gray(marked)
-        coded, pred = self._even_errors(a)
+        coded = self._even_errors(a)
         # picked through np.flatnonzero: masked indexing branches on every cell
         c = coded.ravel()[np.flatnonzero((coded >= -2) & (coded <= 1))]
         bits = np.where(c >= 0, c, -(c + 1)).astype(np.uint8)
-        restored = _with_even(a, pred, coded - (coded >= 1) + (coded <= -2), np.int16)
+        # codes >= 1 step down and codes <= -2 up: that undoes a shift and a 1 bit alike
+        delta = (coded <= -2).view(np.int8) - (coded >= 1).view(np.int8)
+        restored = _with_even(a, delta, np.int16)
         if int(restored.min()) < 0 or int(restored.max()) > 255:
             raise CorruptionError("recovered pre-embedding image leaves [0, 255]")
         return bits, restored.astype(np.uint8)

@@ -10,7 +10,10 @@ from .errors import ValidationError
 
 def as_gray(img):
     """Validate an 8-bit grayscale image and return it as a 2-D uint8 array."""
-    a = np.asarray(img)
+    try:
+        a = np.asarray(img)
+    except ValueError as exc:
+        raise ValidationError(f"image is not a rectangular grid: {exc}") from None
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-D grayscale grid, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:

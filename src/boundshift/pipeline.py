@@ -194,7 +194,8 @@ def evaluate_cell(cover, params, state=None):
         before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
     elif not isinstance(state, _SweepState):
         raise ValidationError("state must be a sweep's state")
-    elif params.shift != state.passes.shift or not np.array_equal(a, state.cover):
+    elif params.shift != state.passes.shift or (
+            a is not state.cover and not np.array_equal(a, state.cover)):
         raise ValidationError("state was built for another cover or shift width")
     else:
         before_count, before_bits, cover_crc = state.stats

@@ -37,34 +37,40 @@ def predict_grid(img):
         raise ValidationError("1x1 grid has no neighbors to predict from")
     if not np.issubdtype(a.dtype, np.integer):
         raise ValidationError(f"grid values must be integers, got {a.dtype}")
-    total = np.zeros((h, w), dtype=np.int16)
-    if not total.size:
-        return total
-    if a.dtype.itemsize > 1:
-        if int(a.min()) < -_LIMIT or int(a.max()) > _LIMIT:
+    if not a.size:
+        return np.zeros((h, w), dtype=np.int16)
+    low = 0
+    if a.dtype.kind == "i" or a.dtype.itemsize > 1:
+        low = int(a.min())
+        if low < -_LIMIT or int(a.max()) > _LIMIT:
             raise ValidationError("grid values must lie in [-2**12, 2**12] to predict")
-        a = a.astype(np.int16, copy=False)
-    total[1:] += a[:-1]
-    total[:-1] += a[1:]
-    total[:, 1:] += a[:, :-1]
-    total[:, :-1] += a[:, 1:]
+    # One flat copy: rows of stride w + 1 that end in a zero, between a zero
+    # row above and one below. A cell's four neighbors are then four
+    # contiguous slices, a missing one adds 0, and no sum crosses a row.
+    s = w + 1
+    flat = np.zeros((h + 2) * s, dtype=np.int16)
+    flat[s:(h + 1) * s].reshape(h, s)[:, :w] = a
+    n = h * s
+    total = flat[:n] + flat[2 * s:2 * s + n]
+    total += flat[s - 1:s - 1 + n]
+    total += flat[s + 1:s + 1 + n]
+    grid = total.reshape(h, s)[:, :w]
     # The border ring, row 0, row h-1, then columns 0 and w-1 between them:
     # three neighbors each, two at the corners. A single row or column has
     # one neighbor less everywhere, and its ring holds each cell twice.
-    ring = np.concatenate((total[0], total[-1], total[1:-1, 0], total[1:-1, -1]))
+    ring = np.concatenate((grid[0], grid[-1], grid[1:-1, 0], grid[1:-1, -1]))
     sides = 3 - (h == 1) - (w == 1)
     count = np.full(ring.size, sides, dtype=np.int16)
     count[[0, w - 1, w, 2 * w - 1]] = sides - 1
     # ring / count rounded to the nearest integer, ties away from zero
     ring = (2 * np.abs(ring) + count) // (2 * count) * np.sign(ring)
     # Inside, four neighbors: (total + 2) >> 2 rounds halves up, and one
-    # less for a negative total (shifted right by all but its sign bit, -1)
-    # rounds them down, so ties go away from zero.
-    inner = total[1:-1, 1:-1]
-    sign = inner >> 15
-    inner += 2
-    inner += sign
-    inner >>= 2
-    total[0], total[-1] = ring[:w], ring[w:2 * w]
-    total[1:-1, 0], total[1:-1, -1] = ring[2 * w:2 * w + h - 2], ring[2 * w + h - 2:]
-    return total
+    # less for a negative total (total + 2 < 2) rounds them down, so ties go
+    # away from zero. Only a grid with a negative value has such totals.
+    total += 2
+    if low < 0:
+        total -= total < 2
+    total >>= 2
+    grid[0], grid[-1] = ring[:w], ring[w:2 * w]
+    grid[1:-1, 0], grid[1:-1, -1] = ring[2 * w:2 * w + h - 2], ring[2 * w + h - 2:]
+    return grid

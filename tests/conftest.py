@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from boundshift import pipeline
+from boundshift.embedder import PredictionErrorEmbedder
 from boundshift.fixtures import generate_corpus
 
 
@@ -11,6 +13,18 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     generate_corpus(out)
     return out
+
+
+@pytest.fixture
+def fresh_embedder(monkeypatch):
+    """A call that gives pipeline a new embedder for the rest of the test.
+    An embedder keeps the error grid of the last image it analysed, so a
+    count of predictions made after the call does not depend on what the
+    test, or the tests before it, analysed earlier."""
+    def fresh():
+        monkeypatch.setattr(pipeline, "_EMBEDDER", PredictionErrorEmbedder())
+        return pipeline._EMBEDDER
+    return fresh
 
 
 def smooth_image(seed, h=32, w=32, mean=128.0, sigma=12.0):

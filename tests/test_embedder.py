@@ -23,6 +23,9 @@ from boundshift.embedder import (
     frame_payload,
 )
 
+from boundshift import embedder
+from boundshift.predictor import predict_grid
+
 import oracle_embed
 
 EMB = PredictionErrorEmbedder()
@@ -122,6 +125,34 @@ def test_capacity_and_embed_match_the_scalar_oracle(shape, span, data):
 def test_extract_matches_the_scalar_oracle(shape, span, data):
     marked = data.draw(arrays(np.uint8, shape, elements=st.integers(*span)))
     _same_as_oracle(lambda: EMB.extract(marked), lambda: oracle_embed.extract(marked))
+
+
+def test_an_image_changed_in_place_is_predicted_again():
+    # capacity keeps the error grid of g; g then changes under the same
+    # array object, so the embedder must compare values, not identity
+    emb = PredictionErrorEmbedder()
+    g = default_rng(21).integers(99, 103, (9, 11)).astype(np.uint8)
+    emb.capacity(g)
+    g[::3, 1::2] += 1
+    g[4] = 100
+    bits = default_rng(22).integers(0, 2, oracle_embed.capacity(g), dtype=np.uint8)
+    _same_as_oracle(lambda: (emb.embed(g, bits),), lambda: (oracle_embed.embed(g, bits),))
+    _same_as_oracle(lambda: emb.extract(g), lambda: oracle_embed.extract(g))
+
+
+def test_capacity_then_embed_predicts_once(monkeypatch):
+    calls = []
+
+    def counted(img):
+        calls.append(img)
+        return predict_grid(img)
+
+    monkeypatch.setattr(embedder, "predict_grid", counted)
+    emb = PredictionErrorEmbedder()
+    img = default_rng(23).integers(1, 255, (16, 16)).astype(np.uint8)
+    room = emb.capacity(img)
+    emb.embed(img.copy(), np.ones(room, dtype=np.uint8))
+    assert len(calls) == 1
 
 
 def test_constant_image_capacity_is_even_cell_count():

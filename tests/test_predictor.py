@@ -114,6 +114,18 @@ def test_predict_grid_matches_oracle_cell_by_cell(shape, span, data):
         assert p == predict(img, i, j), (i, j)
 
 
+@pytest.mark.parametrize("shape", [(1, 301), (301, 1), (2, 257), (257, 2), (3, 129)])
+@pytest.mark.parametrize("dtype, lo, hi", [(np.uint8, 0, 255), (np.int16, -(2**12), 2**12)])
+def test_predict_grid_matches_oracle_on_skinny_and_odd_shapes(shape, dtype, lo, hi):
+    # wider and taller than the drawn shapes: rows w + 1 apart in the flat
+    # buffer must keep every sum inside its own row
+    img = default_rng(6).integers(lo, hi + 1, shape).astype(dtype)
+    grid = predict_grid(img)
+    assert grid.shape == img.shape and grid.dtype == np.int16
+    for (i, j), p in np.ndenumerate(grid):
+        assert p == predict(img, i, j), (i, j)
+
+
 @pytest.mark.parametrize("scale, tie", [(1, -1), (3, -2)])
 def test_predict_grid_rounds_negative_ties_away_from_zero(scale, tie):
     img = scale * np.array([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])

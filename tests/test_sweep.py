@@ -205,6 +205,32 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
 
 
+def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fresh_embedder):
+    # values in the middle of the range: no threshold up to 16 moves a
+    # pixel, so every cell's shifted image is the cover itself
+    cover = smooth_image(9, 32, 32)
+    assert 64 < cover.min() and cover.max() < 192
+    fresh_embedder()
+    calls = {preprocess: 0, embedder: 0}
+
+    def count(module):
+        fn = module.predict_grid
+
+        def counted(img):
+            calls[module] += 1
+            return fn(img)
+        return counted
+
+    for module in calls:
+        monkeypatch.setattr(module, "predict_grid", count(module))
+    records = sweep(cover, range(1, 17), 1)
+    assert len(records) == 256
+    assert len({(rec.r_emb, rec.boundary_after, rec.map_bits_after) for rec in records}) == 1
+    # the cover and 16 even passes; the shifted image once for all 256
+    # cells' capacity and embed
+    assert calls == {preprocess: 17, embedder: 1}
+
+
 @pytest.mark.parametrize("shape", [(16, 16), (1, 5)])
 @pytest.mark.parametrize("params", ["junk", None, (1, 3, 5)])
 def test_evaluate_cell_rejects_what_forward_rejects(shape, params):
