@@ -93,7 +93,7 @@ def cmd_embed(args):
     cover = load_pgm(args.image)
     bits = _read_payload_bits(args.payload, args.bits)
     if args.auto:
-        records = sweep(cover, range(1, args.t_max + 1), args.shift)
+        records = sweep(cover, range(1, args.t_max + 1), args.shift, measure_psnr=False)
         chosen = next(r for r in records if r.selected)
         params = PreprocessParams(args.shift, chosen.t_even, chosen.t_odd)
         print(f"auto-selected t_even={params.t_even} t_odd={params.t_odd}")

@@ -84,7 +84,10 @@ class LocationMap:
     alphabet_size: int
 
     def __post_init__(self):
-        a = np.asarray(self.symbols)
+        try:
+            a = np.asarray(self.symbols)
+        except ValueError as exc:
+            raise ValidationError(f"map symbols are not a rectangular grid: {exc}") from None
         if a.ndim != 2:
             raise ValidationError(f"map symbols must form a 2-D grid, got shape {a.shape}")
         if not isinstance(self.alphabet_size, (int, np.integer)):

@@ -8,6 +8,7 @@ left after the 136-bit header and the compressed map; sweep evaluates a
 threshold grid and flags the best cell.
 """
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -51,7 +52,8 @@ class EmbedResult:
 class SweepRecord:
     """One threshold cell: boundary/map-size before and after, the reduction
     ratios (None when the cover has no boundary pixels), net rate, and the
-    marked-image quality (None when the side information does not fit)."""
+    marked-image quality (None when the side information does not fit, NaN
+    when it fits but was not measured)."""
 
     t_even: int
     t_odd: int
@@ -167,10 +169,12 @@ def _cover_stats(a, shift):
 class _SweepState:
     """What the cells of one sweep share: the cover's stats, its forward
     passes, and the last coded map, reused while the map does not change.
-    It holds a fixed number of images, whatever the grid size."""
+    It holds a fixed number of images, whatever the grid size. measure_psnr
+    says whether a cell that fits embeds a payload to measure its PSNR."""
 
-    def __init__(self, a, shift):
+    def __init__(self, a, shift, measure_psnr=True):
         self.cover = a
+        self.measure_psnr = measure_psnr
         self.stats = _cover_stats(a, shift)
         self.passes = _ForwardCache(a, shift)
         self.symbols = self.cmap = None
@@ -184,7 +188,8 @@ class _SweepState:
 def evaluate_cell(cover, params, state=None):
     """Metrics for one threshold cell; PSNR is measured on a marked image
     carrying a seeded max-size pseudorandom payload. state is sweep's, for
-    this cover and shift width."""
+    this cover and shift width; a state built with measure_psnr=False skips
+    that embed, and a cell that fits reports psnr_db as NaN."""
     a = as_gray(cover)
     # checked in forward's order, before the cover's stats read params.shift
     _check_size(a)
@@ -203,12 +208,14 @@ def evaluate_cell(cover, params, state=None):
     after_count = boundary_count_after(out)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
-    if room >= side_info:
+    if room < side_info:
+        quality = None
+    elif state is not None and not state.measure_psnr:
+        quality = math.nan
+    else:
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
         marked = _embed_frame(out, cmap, room, payload, params, cover_crc)
         quality = psnr(a, marked)
-    else:
-        quality = None
     defined = before_count > 0
     return SweepRecord(
         t_even=params.t_even,
@@ -224,13 +231,15 @@ def evaluate_cell(cover, params, state=None):
     )
 
 
-def sweep(cover, t_range, shift):
+def sweep(cover, t_range, shift, measure_psnr=True):
     """Evaluate every (t_even, t_odd) cell; the record with the highest
     r_emb is flagged selected, ties resolved to the smallest pair.
 
     The cells share one _SweepState and run t_even-major, so the cover is
     predicted once, each even pass once, and a map equal to the previous
-    cell's is not coded again."""
+    cell's is not coded again. With measure_psnr=False no cell embeds: a
+    cell that fits reports psnr_db as NaN, and every other field, the
+    selected cell included, is the same."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     try:
@@ -249,7 +258,7 @@ def sweep(cover, t_range, shift):
     # evaluating that cell on its own would
     PreprocessParams(t, thresholds[0], thresholds[0])
     _check_size(a)
-    state = _SweepState(a, t)
+    state = _SweepState(a, t, measure_psnr)
     records = []
     for t_even in thresholds:
         for t_odd in thresholds:

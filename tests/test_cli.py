@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from boundshift import load_pgm, save_pgm
+from boundshift import embedder, load_pgm, pipeline, save_pgm
 from boundshift.cli import _REPORT_FIELDS, main
 
 from conftest import smooth_image
@@ -73,7 +73,9 @@ def test_embed_bits_flag_validation(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
-def test_embed_auto_selects_thresholds(tmp_path, capsys):
+def _embed_auto(tmp_path):
+    """Run `embed --auto --t-max 4` on a 48x48 cover with a dark square;
+    returns the cover's path."""
     cover = tmp_path / "dark.pgm"
     img = np.full((48, 48), 128, dtype=np.uint8)
     img[8:32, 8:32] = 0
@@ -83,6 +85,11 @@ def test_embed_auto_selects_thresholds(tmp_path, capsys):
     rc = main(["embed", str(cover), "--payload", str(pay),
                "--out", str(tmp_path / "m.pgm"), "--auto", "--t-max", "4"])
     assert rc == 0
+    return cover
+
+
+def test_embed_auto_selects_thresholds(tmp_path, capsys):
+    cover = _embed_auto(tmp_path)
     assert "auto-selected t_even=" in capsys.readouterr().out
     rc = main(["extract", str(tmp_path / "m.pgm"),
                "--payload-out", str(tmp_path / "o.bin"),
@@ -90,6 +97,25 @@ def test_embed_auto_selects_thresholds(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "o.bin").read_bytes() == b"\xaa"
     assert (tmp_path / "r.pgm").read_bytes() == cover.read_bytes()
+
+
+def test_embed_auto_embeds_only_the_chosen_cell(tmp_path, monkeypatch):
+    calls = []
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    # wrapped where the callers look the names up
+    cls = embedder.PredictionErrorEmbedder
+    monkeypatch.setattr(cls, "embed", count("embed", cls.embed))
+    monkeypatch.setattr(pipeline, "_payload_for_report",
+                        count("payload_for_report", pipeline._payload_for_report))
+    _embed_auto(tmp_path)
+    # the 16-cell sweep only picks; embed_full embeds the chosen cell
+    assert calls == ["embed"]
 
 
 def test_preprocess_restore_round_trip(tmp_path, capsys):

@@ -332,7 +332,9 @@ def test_extract_full_rejects_unmarked_cover():
     (lambda: serialize_side_file("x", compress(forward(smooth_image(20),
                                                        PreprocessParams(1, 1, 1)).locmap)),
      "expected PreprocessParams"),
-], ids=["ragged-cover", "ragged-psnr", "ragged-census", "ragged-payload", "side-file-params"])
+    (lambda: LocationMap([[1, 2], [1]], 3), "map symbols are not a rectangular grid"),
+], ids=["ragged-cover", "ragged-psnr", "ragged-census", "ragged-payload", "side-file-params",
+        "ragged-map"])
 def test_public_calls_reject_malformed_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()

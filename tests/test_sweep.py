@@ -1,7 +1,9 @@
 """Threshold sweep: pinned reports, a cell-by-cell differential test, its
 error paths, and a bound on the work it repeats."""
 
+import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -119,7 +121,18 @@ def _covers(draw):
 )
 def test_sweep_matches_the_cell_by_cell_oracle(cover, t_range, shift):
     # t_range comes unsorted and with repeats; the sweep sorts and dedups it
-    assert sweep(cover, t_range, shift) == oracle_sweep(cover, t_range, shift)
+    expected = oracle_sweep(cover, t_range, shift)
+    assert sweep(cover, t_range, shift) == expected
+    # the pick-only sweep measures no PSNR: NaN where the oracle has a
+    # value, None where the side information does not fit, the rest equal
+    picked = sweep(cover, t_range, shift, measure_psnr=False)
+    assert len(picked) == len(expected)
+    for rec, want in zip(picked, expected):
+        if want.psnr_db is None:
+            assert rec.psnr_db is None
+        else:
+            assert isinstance(rec.psnr_db, float) and math.isnan(rec.psnr_db)
+        assert dataclasses.replace(rec, psnr_db=want.psnr_db) == want
 
 
 def _cover(shape):
@@ -188,12 +201,16 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     monkeypatch.setattr(pipeline, "compress", count(coded, pipeline.compress))
 
     cover = _pooled_field(default_rng(12), 32, 32, 40, 45)
-    t_range = range(1, 17)
-    records = sweep(cover, t_range, 1)
-    assert len(records) == 256
-    # the cover once, each even pass once, then each cell's capacity and,
-    # where the frame fits, its embed
-    assert len(predictions) <= 1 + 16 + 2 * 256
+    codings = []
+    for measure_psnr in (True, False):
+        predictions.clear()
+        coded.clear()
+        records = sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
+        assert len(records) == 256
+        # the cover once, each even pass once, then each cell's capacity;
+        # a cell's embed, if it makes one, reuses its capacity's errors
+        assert len(predictions) <= 1 + 16 + 256
+        codings.append(list(coded))
 
     monkeypatch.undo()
     maps = [forward(cover, PreprocessParams(1, rec.t_even, rec.t_odd)).locmap.symbols
@@ -201,8 +218,9 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     # each map that differs from the previous cell's, in sweep order
     changed = [m for k, m in enumerate(maps) if k == 0 or not np.array_equal(m, maps[k - 1])]
     assert 1 < len(changed) < len(maps)
-    assert len(coded) == len(changed)
-    assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
+    for coded in codings:
+        assert len(coded) == len(changed)
+        assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
 
 
 def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fresh_embedder):
