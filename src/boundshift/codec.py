@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, ValidationError
-from .imagecore import LocationMap, boundary_mask
+from .imagecore import LocationMap, as_bytes, boundary_mask, check_param
 from .preprocess import PreprocessParams
 
 _STATE_BITS = 32
@@ -53,6 +53,7 @@ _KERNEL_NO_MEMORY = 3
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coder.c")
 
 MAP_MAGIC = b"LM"
+_U32_MAX = 2**32 - 1
 _CONTAINER_HEADER = struct.Struct(">2sBIII")
 SIDE_FILE_MAGIC = b"LP"
 _SIDE_FILE_HEADER = struct.Struct(">2sBBB")
@@ -70,21 +71,12 @@ class CompressedMap:
 
     def __post_init__(self):
         # stored as int and bytes (set through object, the class being
-        # frozen), so NumPy integers cannot wrap in width * height
-        for name in ("alphabet_size", "width", "height", "bit_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not isinstance(self.data, (bytes, bytearray, memoryview)):
-            raise ValidationError(f"data must be bytes-like, got {type(self.data).__name__}")
-        object.__setattr__(self, "data", bytes(self.data))
-        if not 2 <= self.alphabet_size <= 256:
-            raise ValidationError(f"alphabet_size must be in [2, 256], got {self.alphabet_size}")
-        if self.width < 0 or self.height < 0:
-            raise ValidationError("negative map dimensions")
-        if self.bit_length < 0:
-            raise ValidationError("negative bit length")
+        # frozen), so NumPy integers cannot wrap in width * height; the
+        # bounds are those of the container's and the frame's header fields
+        for name, low, high in (("alphabet_size", 2, 256), ("width", 0, _U32_MAX),
+                                ("height", 0, _U32_MAX), ("bit_length", 0, _U32_MAX)):
+            object.__setattr__(self, name, check_param(name, getattr(self, name), low, high))
+        object.__setattr__(self, "data", as_bytes(self.data, "data"))
         if len(self.data) != (self.bit_length + 7) // 8:
             raise ValidationError(
                 f"payload holds {len(self.data)} bytes but bit_length {self.bit_length} "
@@ -313,7 +305,7 @@ def serialize_map(cmap):
 
 def deserialize_map(buf):
     """Parse container bytes; trailing garbage and truncation are errors."""
-    buf = bytes(buf)
+    buf = as_bytes(buf, "map container")
     if len(buf) < _CONTAINER_HEADER.size:
         raise CorruptionError("map container shorter than its header")
     magic, alpha_m1, width, height, bit_length = _CONTAINER_HEADER.unpack_from(buf)
@@ -345,7 +337,7 @@ def serialize_side_file(params, cmap):
 def deserialize_side_file(buf):
     """Parse side-file bytes into (PreprocessParams, CompressedMap); any
     malformed content raises CorruptionError."""
-    buf = bytes(buf)
+    buf = as_bytes(buf, "side file")
     if len(buf) < _SIDE_FILE_HEADER.size:
         raise CorruptionError("side file shorter than its header")
     magic, shift, t_even, t_odd = _SIDE_FILE_HEADER.unpack_from(buf)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .codec import CompressedMap
 from .errors import CapacityError, CorruptionError, ValidationError
-from .imagecore import as_gray
+from .imagecore import as_bytes, as_gray
 from .predictor import predict_grid
 from .preprocess import PreprocessParams
 
@@ -38,7 +38,7 @@ _V1_HEADER_BITS = 8 * _HEADER_V1.size
 
 def bytes_to_bits(data):
     """Expand bytes into a 0/1 uint8 array, most significant bit first."""
-    return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
+    return np.unpackbits(np.frombuffer(as_bytes(data, "data"), dtype=np.uint8))
 
 
 def bits_to_bytes(bits):
@@ -59,10 +59,10 @@ def as_bits(bits):
     return a.astype(np.uint8)
 
 
-def _with_even(grid, delta, dtype):
-    """grid as dtype, its even cells moved by delta (laid out as _even_errors
-    lays out the errors)."""
-    out, w = grid.astype(dtype), grid.shape[1]
+def _with_even(grid, delta):
+    """A copy of the uint8 grid, its even cells moved by delta (laid out as
+    _even_errors lays out the errors); the caller keeps them in [0, 255]."""
+    out, w = grid.copy(), grid.shape[1]
     np.add(out[0::2, 0::2], delta[0::2], out=out[0::2, 0::2], casting="unsafe")
     np.add(out[1::2, 1::2], delta[1::2, :w // 2], out=out[1::2, 1::2], casting="unsafe")
     return out
@@ -125,7 +125,7 @@ class PredictionErrorEmbedder:
         delta = (errors >= 1).view(np.int8) - (errors <= -2).view(np.int8)
         used = carriers[:payload.size]
         delta.ravel()[used] = payload * (2 * errors.ravel()[used] + 1)
-        return _with_even(a, delta, np.uint8)
+        return _with_even(a, delta)
 
     def extract(self, marked):
         """Return (full carrier bit stream, original image)."""
@@ -134,12 +134,11 @@ class PredictionErrorEmbedder:
         # picked through np.flatnonzero: masked indexing branches on every cell
         c = coded.ravel()[np.flatnonzero((coded >= -2) & (coded <= 1))]
         bits = np.where(c >= 0, c, -(c + 1)).astype(np.uint8)
-        # codes >= 1 step down and codes <= -2 up: that undoes a shift and a 1 bit alike
+        # codes >= 1 step down and codes <= -2 up, undoing a shift and a 1 bit
+        # alike, and never out of uint8: as a prediction lies in [0, 255], a
+        # code >= 1 is a value of at least 1 and a code <= -2 one of at most 253
         delta = (coded <= -2).view(np.int8) - (coded >= 1).view(np.int8)
-        restored = _with_even(a, delta, np.int16)
-        if int(restored.min()) < 0 or int(restored.max()) > 255:
-            raise CorruptionError("recovered pre-embedding image leaves [0, 255]")
-        return bits, restored.astype(np.uint8)
+        return bits, _with_even(a, delta)
 
 
 def frame_payload(payload, cmap, params, checksum):

@@ -1,4 +1,5 @@
-"""Grid primitives: image validation, boundary census, PSNR."""
+"""Checks of outside values, one per kind (as_gray, as_bytes, check_param),
+each raising ValidationError; and grid primitives: boundary census, PSNR."""
 
 import math
 from dataclasses import dataclass
@@ -27,17 +28,25 @@ def as_gray(img):
     return a.astype(np.uint8)
 
 
+def as_bytes(data, name):
+    """data as bytes, if memoryview() takes it; a bytes object is not copied."""
+    try:
+        return data if type(data) is bytes else memoryview(data).tobytes()
+    except (TypeError, ValueError):  # ValueError: a NumPy dtype with no buffer format
+        raise ValidationError(f"{name} must be bytes-like, got {type(data).__name__}") from None
+
+
 def validate_shift_width(shift):
     """Check a guard/shift width: the boundary band [0,shift) u (255-shift,255]."""
     return check_param("shift width", shift)
 
 
-def check_param(name, value):
-    """value as an int, if it is an integer in [1, 127]; a bool is not one."""
+def check_param(name, value, low=1, high=127):
+    """value as an int, if it is an integer in [low, high]; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if not 1 <= int(value) <= 127:
-        raise ValidationError(f"{name} must be in [1, 127], got {value}")
+    if not low <= int(value) <= high:
+        raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
     return int(value)
 
 
@@ -90,11 +99,7 @@ class LocationMap:
             raise ValidationError(f"map symbols are not a rectangular grid: {exc}") from None
         if a.ndim != 2:
             raise ValidationError(f"map symbols must form a 2-D grid, got shape {a.shape}")
-        if not isinstance(self.alphabet_size, (int, np.integer)):
-            raise ValidationError("alphabet_size must be an integer")
-        self.alphabet_size = int(self.alphabet_size)
-        if not 2 <= self.alphabet_size <= 256:
-            raise ValidationError(f"alphabet_size must be in [2, 256], got {self.alphabet_size}")
+        self.alphabet_size = check_param("alphabet_size", self.alphabet_size, 2, 256)
         if not np.issubdtype(a.dtype, np.integer):
             raise ValidationError(f"map symbols must be integers, got {a.dtype}")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.alphabet_size):

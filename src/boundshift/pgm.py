@@ -10,7 +10,7 @@ import re
 import numpy as np
 
 from .errors import PgmFormatError
-from .imagecore import as_gray
+from .imagecore import as_bytes, as_gray
 
 # In a bytes pattern \s is exactly PGM's whitespace, b" \t\n\r\x0b\x0c". A
 # header token follows whitespace and '#' comments (running to the end of
@@ -44,7 +44,7 @@ def _int_token(pattern, data, pos, what):
 
 def read_pgm(data):
     """Decode a PGM byte stream (P5 or P2) into a 2-D uint8 image."""
-    data = bytes(data)
+    data = as_bytes(data, "PGM data")
     if len(data) < 2 or data[:1] != b"P":
         raise PgmFormatError("not a PGM stream (bad magic)", offset=0)
     magic = data[:2]

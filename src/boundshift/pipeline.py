@@ -255,9 +255,12 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     if not thresholds:
         raise ValidationError("t_range must not be empty")
     # the first cell's thresholds are checked before the cover's size, as
-    # evaluating that cell on its own would
+    # evaluating that cell on its own would, and all others before any cell
+    # runs, each as the t_odd of the first cell in sweep order to meet it
     PreprocessParams(t, thresholds[0], thresholds[0])
     _check_size(a)
+    for v in thresholds:
+        PreprocessParams(t, thresholds[0], v)
     state = _SweepState(a, t, measure_psnr)
     records = []
     for t_even in thresholds:

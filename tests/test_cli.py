@@ -159,8 +159,9 @@ def _restore(tmp_path, side):
     [
         (lambda blob: b"XY" + blob[2:], "magic"),
         (lambda blob: blob[:3] + b"\x00" + blob[4:], "t_even"),   # zeroed t_even byte
+        (lambda blob: blob[:4], "side file shorter than its header"),
     ],
-    ids=["bad-magic", "zero-param"],
+    ids=["bad-magic", "zero-param", "short-header"],
 )
 def test_restore_rejects_corrupt_side_file(tmp_path, capsys, corrupt, message):
     side = _preprocess_8x8(tmp_path)

@@ -200,6 +200,8 @@ def test_compressed_map_length_guard():
     ((np.True_, 2, 2, 8, b"\x00"), "alphabet_size must be an integer, got "),
     ((3, 2, 2, 16, "ab"), "data must be bytes-like, got str"),
     ((3, 2, 2, 16, [0, 0]), "data must be bytes-like, got list"),
+    ((3, -1, 2, 0, b""), "width must be in [0, 4294967295], got -1"),
+    ((3, 2, 2, -8, b""), "bit_length must be in [0, 4294967295], got -8"),
 ])
 def test_compressed_map_rejects_fields_of_another_type(fields, message):
     with pytest.raises(ValidationError, match=re.escape(message)):

@@ -104,7 +104,8 @@ def _same_as_oracle(call, reference):
 # Every shape up to 13x13, single rows and columns and odd widths among
 # them, where the odd rows' sub-lattice is a column shorter. Narrow value
 # spans make errors of 0 and -1 (carriers) and, at the ends of the range,
-# recoveries that leave [0, 255].
+# recoveries that step onto 0 or 255 but, as extract's comment proves, never
+# past them.
 EMBED_SHAPES = st.tuples(st.integers(1, 13), st.integers(1, 13))
 EMBED_SPANS = st.sampled_from([(1, 254), (99, 102), (1, 3), (252, 254)])
 MARKED_SPANS = st.sampled_from([(0, 255), (99, 102), (0, 2), (253, 255)])

@@ -78,6 +78,8 @@ def test_maxval_below_255_accepted_when_pixels_fit():
         (b"P5\nab 2\n255\n" + bytes(4), 3),            # non-numeric width
         (b"P5\n2 2\n65535\n" + bytes(4), 7),           # 16-bit maxval unsupported
         (b"P5\n0 2\n255\n", 3),                        # zero width
+        (b"P5\n2 0\n255\n", 5),                        # zero height
+        pytest.param(b"P5\n2147483648 2\n255\n", 3, id="width-of-10-digits-above-2**31-1"),
         (b"P5\n2 2\n255\n" + bytes(3), 14),            # truncated raster
         (b"P5\n2 2\n255\n" + bytes(5), 15),            # trailing byte
         (b"P5\n2 2\n255", 10),                         # missing raster separator

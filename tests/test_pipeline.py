@@ -1,4 +1,5 @@
 import math
+import re
 import zlib
 from pathlib import Path
 
@@ -7,30 +8,46 @@ import pytest
 from numpy.random import default_rng
 
 from boundshift import (
+    BoundShiftError,
     CapacityError,
+    CompressedMap,
     CorruptionError,
     LocationMap,
     PredictionErrorEmbedder,
     PreprocessParams,
     ValidationError,
     compress,
+    compress_binary_baseline,
     count_boundary_pixels,
+    decompress,
+    deserialize_map,
     embed_full,
     evaluate_cell,
     extract_full,
     forward,
+    inverse,
     load_pgm,
     max_payload,
     max_payload_baseline,
     psnr,
+    read_pgm,
     save_pgm,
+    serialize_map,
     sweep,
+    write_pgm,
 )
 from boundshift import cli, embedder, pipeline, preprocess
-from boundshift.codec import serialize_side_file
-from boundshift.embedder import FRAME_HEADER_BITS, deframe_payload
+from boundshift.codec import deserialize_side_file, serialize_side_file
+from boundshift.embedder import (
+    FRAME_HEADER_BITS,
+    bits_to_bytes,
+    bytes_to_bits,
+    deframe_payload,
+    frame_payload,
+)
 from boundshift.fixtures import _dark, _pooled_field
 from boundshift.predictor import predict_grid
+from boundshift.preprocess import boundary_count_after
 
 from conftest import smooth_image
 
@@ -322,6 +339,12 @@ def test_extract_full_rejects_unmarked_cover():
         extract_full(np.full((16, 16), 200, dtype=np.uint8))
 
 
+_COVER = smooth_image(41)
+_PARAMS = PreprocessParams(1, 1, 4)
+_OUT = forward(_COVER, _PARAMS)
+_CMAP = compress(_OUT.locmap)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: embed_full([[1, 2], [3]], [1], PreprocessParams(1, 1, 1)),
      "image is not a rectangular grid"),
@@ -333,11 +356,79 @@ def test_extract_full_rejects_unmarked_cover():
                                                        PreprocessParams(1, 1, 1)).locmap)),
      "expected PreprocessParams"),
     (lambda: LocationMap([[1, 2], [1]], 3), "map symbols are not a rectangular grid"),
+    (lambda: inverse(_OUT.shifted, _OUT.locmap, "x"), "params must be a PreprocessParams"),
+    (lambda: inverse(_OUT.shifted, "x", _PARAMS), "locmap must be a LocationMap"),
+    (lambda: boundary_count_after("x"), "expected a PreprocessOutput"),
+    (lambda: compress("x"), "expected a LocationMap"),
+    (lambda: decompress("x"), "expected a CompressedMap"),
+    (lambda: serialize_map("x"), "expected a CompressedMap"),
+    # the u32 header fields of the map container and the frame
+    (lambda: serialize_map(CompressedMap(3, 2**32, 1, 0, b"")),
+     re.escape("width must be in [0, 4294967295], got 4294967296")),
+    (lambda: serialize_side_file(_PARAMS, CompressedMap(3, 1, 2**32, 0, b"")),
+     re.escape("height must be in [0, 4294967295], got 4294967296")),
+    (lambda: LocationMap(_OUT.locmap.symbols, True), "alphabet_size must be an integer, got True"),
 ], ids=["ragged-cover", "ragged-psnr", "ragged-census", "ragged-payload", "side-file-params",
-        "ragged-map"])
+        "ragged-map", "inverse-params", "inverse-locmap", "census-after-output", "compress-locmap",
+        "decompress-cmap", "serialize-cmap", "u32-width", "u32-height", "bool-alphabet"])
 def test_public_calls_reject_malformed_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+# Each public entry point with arguments it takes. A wrong value in any one
+# argument must raise a BoundShiftError or be taken. The ints stay small, so
+# a call that takes an int as a buffer size cannot allocate much.
+_WRONG_VALUES = [None, "x", 1.5, object(), [[1, 2], [3]], -1, 3]
+_MARKED = embed_full(_COVER, [1, 0], _PARAMS).marked
+_ENTRY_POINTS = {
+    "read_pgm": (read_pgm, write_pgm(_COVER)),
+    "write_pgm": (write_pgm, _COVER, "P2"),
+    "deserialize_map": (deserialize_map, serialize_map(_CMAP)),
+    "serialize_map": (serialize_map, _CMAP),
+    "deserialize_side_file": (deserialize_side_file, serialize_side_file(_PARAMS, _CMAP)),
+    "serialize_side_file": (serialize_side_file, _PARAMS, _CMAP),
+    "CompressedMap": (CompressedMap, 3, 32, 32, _CMAP.bit_length, _CMAP.data),
+    "LocationMap": (LocationMap, _OUT.locmap.symbols, 3),
+    "compress": (compress, _OUT.locmap),
+    "decompress": (decompress, _CMAP),
+    "compress_binary_baseline": (compress_binary_baseline, _COVER, 1),
+    "PreprocessParams": (PreprocessParams, 1, 1, 4),
+    "forward": (forward, _COVER, _PARAMS),
+    "inverse": (inverse, _OUT.shifted, _OUT.locmap, _PARAMS),
+    "boundary_count_after": (boundary_count_after, _OUT),
+    "count_boundary_pixels": (count_boundary_pixels, _COVER, 1),
+    "psnr": (psnr, _COVER, _MARKED),
+    "embed_full": (embed_full, _COVER, [1, 0], _PARAMS),
+    "extract_full": (extract_full, _MARKED, False),
+    "max_payload": (max_payload, _COVER, _PARAMS),
+    "max_payload_baseline": (max_payload_baseline, _COVER, 1),
+    "evaluate_cell": (evaluate_cell, _COVER, _PARAMS, None),
+    "sweep": (sweep, _COVER, [1, 4], 1, False),
+    "capacity": (EMB.capacity, _COVER),
+    "embed": (EMB.embed, _OUT.shifted, [1, 0]),
+    "extract": (EMB.extract, _MARKED),
+    "frame_payload": (frame_payload, [1, 0], _CMAP, _PARAMS, 0),
+    "deframe_payload": (deframe_payload, frame_payload([1, 0], _CMAP, _PARAMS, 0), 32, 32),
+    "bytes_to_bits": (bytes_to_bits, b"\x5a"),
+    "bits_to_bytes": (bits_to_bytes, [1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_wrong_arguments_raise_only_package_errors(name):
+    call, *args = _ENTRY_POINTS[name]
+    call(*args)
+    leaks = []
+    for k in range(len(args)):
+        for value in _WRONG_VALUES:
+            try:
+                call(*args[:k], value, *args[k + 1:])
+            except BoundShiftError:
+                pass
+            except Exception as exc:
+                leaks.append(f"argument {k} = {value!r}: {type(exc).__name__}: {exc}")
+    assert leaks == []
 
 
 def test_sweep_selects_best_cell_and_breaks_ties_low():

@@ -183,6 +183,21 @@ def test_sweep_error_paths(shape, t_range, shift, message):
     assert str(exc.value) == message
 
 
+def test_sweep_checks_every_threshold_before_the_first_cell(monkeypatch):
+    cells = []
+    evaluate_cell = pipeline.evaluate_cell
+
+    def counted(*args):
+        cells.append(args[1])
+        return evaluate_cell(*args)
+
+    monkeypatch.setattr(pipeline, "evaluate_cell", counted)
+    message = "t_odd must be in [1, 127], got 128"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sweep(np.full((32, 32), 100, np.uint8), range(1, 129), 1)
+    assert cells == []
+
+
 def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     predictions = []
     coded = []
