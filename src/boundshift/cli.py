@@ -15,10 +15,10 @@ import sys
 
 import numpy as np
 
-from .codec import compress, decompress, deserialize_side_file, serialize_side_file
-from .embedder import bits_to_bytes, bytes_to_bits
+from .codec import compress, decompress
 from .errors import BoundShiftError, ValidationError
 from .fixtures import generate_corpus
+from .formats import bits_to_bytes, bytes_to_bits, deserialize_side_file, serialize_side_file
 from .imagecore import count_boundary_pixels
 from .pgm import load_pgm, save_pgm
 from .pipeline import (

@@ -28,7 +28,6 @@ otherwise (no compiler, a read-only directory, a load error).
 
 import ctypes
 import os
-import struct
 import tempfile
 import zlib
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ import numpy as np
 
 from .errors import CorruptionError, ValidationError
 from .imagecore import LocationMap, as_bytes, boundary_mask, check_param
-from .preprocess import PreprocessParams
 
 _STATE_BITS = 32
 _FULL_MASK = (1 << _STATE_BITS) - 1
@@ -52,11 +50,7 @@ _KERNEL_ERRORS = {1: _DESYNCHRONIZED, 2: _EXHAUSTED}
 _KERNEL_NO_MEMORY = 3
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coder.c")
 
-MAP_MAGIC = b"LM"
 _U32_MAX = 2**32 - 1
-_CONTAINER_HEADER = struct.Struct(">2sBIII")
-SIDE_FILE_MAGIC = b"LP"
-_SIDE_FILE_HEADER = struct.Struct(">2sBBB")
 
 
 @dataclass(frozen=True)
@@ -286,65 +280,3 @@ def compress_binary_baseline(img, shift):
     """Compress the plain 0/1 boundary indicator of an image (the side
     information a direct embedder would have to carry)."""
     return compress(LocationMap(boundary_mask(img, shift).astype(np.uint8), 2))
-
-
-def serialize_map(cmap):
-    """Container bytes: magic 'LM', u8 alphabet_size-1, u32 width, height,
-    bit_length (big-endian), then the coded bytes."""
-    if not isinstance(cmap, CompressedMap):
-        raise ValidationError("expected a CompressedMap")
-    header = _CONTAINER_HEADER.pack(
-        MAP_MAGIC,
-        cmap.alphabet_size - 1,
-        cmap.width,
-        cmap.height,
-        cmap.bit_length,
-    )
-    return header + cmap.data
-
-
-def deserialize_map(buf):
-    """Parse container bytes; trailing garbage and truncation are errors."""
-    buf = as_bytes(buf, "map container")
-    if len(buf) < _CONTAINER_HEADER.size:
-        raise CorruptionError("map container shorter than its header")
-    magic, alpha_m1, width, height, bit_length = _CONTAINER_HEADER.unpack_from(buf)
-    if magic != MAP_MAGIC:
-        raise CorruptionError(f"bad map container magic {magic!r}")
-    end = _CONTAINER_HEADER.size + (bit_length + 7) // 8
-    if len(buf) < end:
-        raise CorruptionError(
-            f"truncated map container: need {end} bytes, have {len(buf)}"
-        )
-    try:
-        cmap = CompressedMap(alpha_m1 + 1, width, height, bit_length, buf[_CONTAINER_HEADER.size:end])
-    except ValidationError as exc:
-        raise CorruptionError(f"malformed map container: {exc}") from exc
-    if end != len(buf):
-        raise CorruptionError(f"trailing data after map container (byte {end})")
-    return cmap
-
-
-def serialize_side_file(params, cmap):
-    """Side-file bytes for preprocess/restore: magic 'LP', u8 shift, t_even,
-    t_odd, then the map container."""
-    if not isinstance(params, PreprocessParams):
-        raise ValidationError("expected PreprocessParams")
-    header = _SIDE_FILE_HEADER.pack(SIDE_FILE_MAGIC, params.shift, params.t_even, params.t_odd)
-    return header + serialize_map(cmap)
-
-
-def deserialize_side_file(buf):
-    """Parse side-file bytes into (PreprocessParams, CompressedMap); any
-    malformed content raises CorruptionError."""
-    buf = as_bytes(buf, "side file")
-    if len(buf) < _SIDE_FILE_HEADER.size:
-        raise CorruptionError("side file shorter than its header")
-    magic, shift, t_even, t_odd = _SIDE_FILE_HEADER.unpack_from(buf)
-    if magic != SIDE_FILE_MAGIC:
-        raise CorruptionError(f"bad side file magic {magic!r}")
-    try:
-        params = PreprocessParams(shift, t_even, t_odd)
-    except ValidationError as exc:
-        raise CorruptionError(f"corrupt side file parameters: {exc}") from exc
-    return params, deserialize_map(buf[_SIDE_FILE_HEADER.size:])

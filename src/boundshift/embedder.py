@@ -1,62 +1,22 @@
-"""Reversible payload embedding on interior-range images, plus the frame format.
+"""Reversible payload embedding on interior-range images.
 
 The reference embedder is prediction-error histogram shifting on the even
 checkerboard lattice: odd-parity pixels are never touched, so the decoder
 re-derives the exact predictions the encoder used. Errors e = value -
 prediction carry one bit each at e = 0 and e = -1; all other errors shift
 outward by one to make room. Per-pixel change is at most 1, so any image
-inside [1, 254] survives without overflow.
-
-Everything embedded in-band travels as one framed bitstream: a 136-bit
-big-endian header (u8 magic, version, shift, t_even, t_odd; u32 map bit
-length, payload bit length, CRC-32), then the compressed location map, then
-the payload, MSB-first. The pipeline computes the CRC-32 over the cover's
-raster-order bytes followed by the packed payload bits, so the extractor
-can tell a recovered cover or payload that is wrong from one that is exact.
-Version 1 frames, whose 104-bit header ends at the payload bit length,
-carry no such check, so the pipeline decodes them only on request
-(extract_full's legacy_v1).
+inside [1, 254] survives without overflow. What it carries, the framed
+bitstream, is laid out by formats.
 """
-
-import struct
 
 import numpy as np
 
-from .codec import CompressedMap
-from .errors import CapacityError, CorruptionError, ValidationError
-from .imagecore import as_bytes, as_gray
+from .errors import CapacityError, ValidationError
+# bench/spans.py reads FRAME_HEADER_BITS here until the library carries its
+# own stage tracer (ROADMAP item 1)
+from .formats import FRAME_HEADER_BITS  # noqa: F401
+from .imagecore import as_bits, as_gray
 from .predictor import predict_grid
-from .preprocess import PreprocessParams
-
-FRAME_MAGIC = 0xB5
-FRAME_VERSION = 2
-_HEADER = struct.Struct(">BBBBBIII")
-_HEADER_V1 = struct.Struct(">BBBBBII")
-FRAME_HEADER_BITS = 8 * _HEADER.size
-_V1_HEADER_BITS = 8 * _HEADER_V1.size
-
-
-def bytes_to_bits(data):
-    """Expand bytes into a 0/1 uint8 array, most significant bit first."""
-    return np.unpackbits(np.frombuffer(as_bytes(data, "data"), dtype=np.uint8))
-
-
-def bits_to_bytes(bits):
-    """Pack a 0/1 array into bytes, zero-padding the final byte."""
-    return np.packbits(as_bits(bits)).tobytes()
-
-
-def as_bits(bits):
-    """Validate a bit sequence and return it as a 1-D uint8 array of 0/1."""
-    try:
-        a = np.asarray(bits)
-    except ValueError as exc:
-        raise ValidationError(f"bit stream is not a flat sequence: {exc}") from None
-    if a.ndim != 1:
-        raise ValidationError(f"bit stream must be 1-D, got shape {a.shape}")
-    if a.size and not ((a == 0) | (a == 1)).all():
-        raise ValidationError("bit stream values must be 0 or 1")
-    return a.astype(np.uint8)
 
 
 def _with_even(grid, delta):
@@ -139,59 +99,3 @@ class PredictionErrorEmbedder:
         # code >= 1 is a value of at least 1 and a code <= -2 one of at most 253
         delta = (coded <= -2).view(np.int8) - (coded >= 1).view(np.int8)
         return bits, _with_even(a, delta)
-
-
-def frame_payload(payload, cmap, params, checksum):
-    """Concatenate header bits, map bits, and payload bits into one stream;
-    checksum is the CRC-32 the header carries for the extractor to verify."""
-    bits = as_bits(payload)
-    if not isinstance(cmap, CompressedMap):
-        raise ValidationError("expected a CompressedMap")
-    if not isinstance(params, PreprocessParams):
-        raise ValidationError("expected PreprocessParams")
-    try:
-        header = _HEADER.pack(
-            FRAME_MAGIC, FRAME_VERSION, params.shift, params.t_even, params.t_odd,
-            cmap.bit_length, bits.size, checksum,
-        )
-    except struct.error as exc:
-        raise ValidationError(f"frame header field out of range: {exc}") from exc
-    map_bits = bytes_to_bits(cmap.data)[: cmap.bit_length]
-    return np.concatenate([bytes_to_bits(header), map_bits, bits])
-
-
-def deframe_payload(bits, width, height):
-    """Parse a framed stream back into (payload, CompressedMap, params,
-    checksum); checksum is None for a version 1 frame, which carries none.
-
-    The frame does not carry grid dimensions; they come from the marked
-    image, so the caller supplies them here.
-    """
-    stream = as_bits(bits)
-    if stream.size < _V1_HEADER_BITS:
-        raise CorruptionError(
-            f"stream of {stream.size} bits is shorter than the {_V1_HEADER_BITS}-bit header"
-        )
-    head = np.packbits(stream[:FRAME_HEADER_BITS]).tobytes()
-    magic, version, shift, t_even, t_odd, map_bits, payload_bits = _HEADER_V1.unpack_from(head)
-    if magic != FRAME_MAGIC:
-        raise CorruptionError(f"bad frame magic 0x{magic:02X}")
-    if version not in (1, FRAME_VERSION):
-        raise CorruptionError(f"unsupported frame version {version}")
-    try:
-        params = PreprocessParams(shift, t_even, t_odd)
-    except ValidationError as exc:
-        raise CorruptionError(f"corrupt frame parameters: {exc}") from exc
-    map_start = FRAME_HEADER_BITS if version == FRAME_VERSION else _V1_HEADER_BITS
-    need = map_start + map_bits + payload_bits
-    if need > stream.size:
-        raise CorruptionError(
-            f"frame declares {need} bits but only {stream.size} are available"
-        )
-    checksum = _HEADER.unpack_from(head)[-1] if version == FRAME_VERSION else None
-    map_slice = stream[map_start:map_start + map_bits]
-    cmap = CompressedMap(
-        2 * params.shift + 1, width, height, map_bits, bits_to_bytes(map_slice)
-    )
-    payload = stream[map_start + map_bits:map_start + map_bits + payload_bits]
-    return payload, cmap, params, checksum

@@ -1,7 +1,9 @@
-"""Checks of outside values, one per kind (as_gray, as_bytes, check_param),
-each raising ValidationError; and grid primitives: boundary census, PSNR."""
+"""Checks of outside values, one per kind (as_gray, as_bits, as_bytes,
+as_path, check_param), each raising ValidationError; and grid primitives:
+boundary census, PSNR."""
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +30,40 @@ def as_gray(img):
     return a.astype(np.uint8)
 
 
-def as_bytes(data, name):
-    """data as bytes, if memoryview() takes it; a bytes object is not copied."""
+def as_bits(bits):
+    """Validate a bit sequence and return it as a 1-D uint8 array of 0/1."""
     try:
-        return data if type(data) is bytes else memoryview(data).tobytes()
+        a = np.asarray(bits)
+    except ValueError as exc:
+        raise ValidationError(f"bit stream is not a flat sequence: {exc}") from None
+    if a.ndim != 1:
+        raise ValidationError(f"bit stream must be 1-D, got shape {a.shape}")
+    if a.size and not ((a == 0) | (a == 1)).all():
+        raise ValidationError("bit stream values must be 0 or 1")
+    return a.astype(np.uint8)
+
+
+def as_bytes(data, name):
+    """data as bytes, if it is a buffer of single bytes (memoryview format
+    B, b or c), so no byte order or heap address gets in; a bytes object is
+    not copied."""
+    if type(data) is bytes:
+        return data
+    try:
+        view = memoryview(data)
     except (TypeError, ValueError):  # ValueError: a NumPy dtype with no buffer format
-        raise ValidationError(f"{name} must be bytes-like, got {type(data).__name__}") from None
+        view = None
+    if view is None or view.format not in ("B", "b", "c"):
+        raise ValidationError(f"{name} must be bytes-like, got {type(data).__name__}")
+    return view.tobytes()
+
+
+def as_path(path):
+    """path, if open() takes it as a file name: str, bytes or os.PathLike,
+    not an int, which open() would take for a file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ValidationError(f"path must be str, bytes or os.PathLike, got {type(path).__name__}")
+    return path
 
 
 def validate_shift_width(shift):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 
 from .errors import PgmFormatError
-from .imagecore import as_bytes, as_gray
+from .imagecore import as_bytes, as_gray, as_path
 
 # In a bytes pattern \s is exactly PGM's whitespace, b" \t\n\r\x0b\x0c". A
 # header token follows whitespace and '#' comments (running to the end of
@@ -132,12 +132,12 @@ def write_pgm(img, flavor="P5"):
 
 def load_pgm(path):
     """Read a PGM file from disk."""
-    with open(path, "rb") as fh:
+    with open(as_path(path), "rb") as fh:
         return read_pgm(fh.read())
 
 
 def save_pgm(path, img, flavor="P5"):
     """Write an image to disk as PGM."""
     data = write_pgm(img, flavor)
-    with open(path, "wb") as fh:
+    with open(as_path(path), "wb") as fh:
         fh.write(data)

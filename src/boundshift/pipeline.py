@@ -15,15 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import compress, compress_binary_baseline, decompress
-from .embedder import (
-    FRAME_HEADER_BITS,
-    PredictionErrorEmbedder,
-    as_bits,
-    deframe_payload,
-    frame_payload,
-)
+from .embedder import PredictionErrorEmbedder
 from .errors import CapacityError, CorruptionError, ValidationError
-from .imagecore import as_gray, count_boundary_pixels, psnr, validate_shift_width
+from .formats import FRAME_HEADER_BITS, deframe_payload, frame_crc, frame_payload
+from .imagecore import as_bits, as_gray, count_boundary_pixels, psnr, validate_shift_width
 from .preprocess import (
     PreprocessParams,
     _check_size,
@@ -68,12 +63,6 @@ class SweepRecord:
     selected: bool = False
 
 
-def _checksum(cover_crc, payload):
-    """CRC-32 over the cover's raster-order bytes, then the packed payload
-    bits, continued from cover_crc = zlib.crc32(cover.tobytes())."""
-    return zlib.crc32(np.packbits(payload).tobytes(), cover_crc)
-
-
 def _prepare(a, params, state=None):
     """Shifted image, coded map and capacity; state is sweep's, if any."""
     if state is None:
@@ -87,7 +76,7 @@ def _prepare(a, params, state=None):
 
 def _embed_frame(out, cmap, room, payload, params, cover_crc):
     """Frame map and payload, check that the frame fits, and embed it."""
-    framed = frame_payload(payload, cmap, params, _checksum(cover_crc, payload))
+    framed = frame_payload(payload, cmap, params, frame_crc(cover_crc, payload))
     if framed.size > room:
         raise CapacityError(
             f"frame of {framed.size} bits exceeds capacity {room} "
@@ -138,7 +127,7 @@ def extract_full(marked, legacy_v1=False):
         )
     locmap = decompress(cmap)
     cover = inverse(shifted, locmap, params)
-    if checksum is not None and checksum != _checksum(zlib.crc32(cover.tobytes()), payload):
+    if checksum is not None and checksum != frame_crc(zlib.crc32(cover.tobytes()), payload):
         raise CorruptionError("frame checksum does not match the recovered cover and payload")
     return payload, cover
 

@@ -20,7 +20,7 @@ from boundshift import (
     forward,
     psnr,
 )
-from boundshift.embedder import FRAME_HEADER_BITS, frame_payload
+from boundshift.formats import FRAME_HEADER_BITS, frame_payload
 
 _EMBEDDER = PredictionErrorEmbedder()
 

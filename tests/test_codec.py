@@ -30,10 +30,7 @@ from boundshift import (
 from boundshift import codec
 from boundshift.fixtures import _blobs, _pooled_field
 
-# Frozen container bytes for the map [[0,1,2],[2,2,2]] over alphabet 3:
-# 'LM', alphabet-1 = 02, width 3, height 2, 16 coded bits, payload 0x52E5.
-GOLDEN_MAP = LocationMap(np.array([[0, 1, 2], [2, 2, 2]]), 3)
-GOLDEN_BYTES = bytes.fromhex("4c4d0200000003000000020000001052e5")
+from test_formats import GOLDEN_BYTES, GOLDEN_MAP
 
 # The coder compress() and decompress() run, taken before any test swaps it:
 # the compiled kernel when it loaded, else the Python loops.
@@ -51,18 +48,6 @@ def coder(request, monkeypatch):
     encode, decode = PYTHON_CODER if request.param == "python" else KERNEL_CODER
     monkeypatch.setattr(codec, "_encode", encode)
     monkeypatch.setattr(codec, "_decode", decode)
-
-
-def test_golden_container_bytes():
-    assert serialize_map(compress(GOLDEN_MAP)) == GOLDEN_BYTES
-
-
-def test_golden_container_decodes():
-    cmap = deserialize_map(GOLDEN_BYTES)
-    assert (cmap.alphabet_size, cmap.width, cmap.height, cmap.bit_length) == (3, 3, 2, 16)
-    out = decompress(cmap)
-    assert np.array_equal(out.symbols, GOLDEN_MAP.symbols)
-    assert out.alphabet_size == 3
 
 
 # Coded size and container digest of maps long enough for the model to halve
@@ -147,12 +132,6 @@ def test_empty_map_round_trip():
     assert deserialize_map(serialize_map(cmap)) == cmap
 
 
-def test_container_round_trip():
-    m = LocationMap(default_rng(1).integers(0, 9, (13, 7)), 9)
-    cmap = compress(m)
-    assert deserialize_map(serialize_map(cmap)) == cmap
-
-
 def test_constant_map_compresses_to_near_nothing():
     m = LocationMap(np.full((64, 64), 2, dtype=np.uint8), 3)
     assert compress(m).bit_length < 100
@@ -221,18 +200,6 @@ def test_compressed_map_takes_numpy_integers_and_any_bytes_type():
     huge = np.uint32(2**32 - 1)
     with pytest.raises(CorruptionError, match="exhausted"):
         decompress(CompressedMap(3, huge, huge, 8, b"\x00"))
-
-
-def test_container_errors():
-    good = serialize_map(compress(GOLDEN_MAP))
-    with pytest.raises(CorruptionError):
-        deserialize_map(good[:10])                     # truncated payload
-    with pytest.raises(CorruptionError):
-        deserialize_map(good + b"x")                   # trailing garbage
-    with pytest.raises(CorruptionError):
-        deserialize_map(b"XX" + good[2:])              # bad magic
-    with pytest.raises(CorruptionError):
-        deserialize_map(good[:3])                      # shorter than header
 
 
 def test_short_read_window_is_bounded():

@@ -34,7 +34,7 @@ from boundshift import (
     write_pgm,
 )
 from boundshift.cli import main
-from boundshift.codec import serialize_side_file
+from boundshift.formats import serialize_side_file
 
 from conftest import smooth_image
 

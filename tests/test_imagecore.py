@@ -1,11 +1,12 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
 from boundshift import LocationMap, ValidationError, count_boundary_pixels, psnr
-from boundshift.imagecore import as_gray, validate_shift_width
+from boundshift.imagecore import as_bytes, as_gray, as_path, validate_shift_width
 
 from oracle_predict import parity_of
 
@@ -33,6 +34,48 @@ def test_as_gray_accepts_lists_and_integer_dtypes():
 def test_as_gray_rejects_bad_input(bad):
     with pytest.raises(ValidationError):
         as_gray(bad)
+
+
+@pytest.mark.parametrize("check, value, want", [
+    (as_bytes, b"ab", b"ab"),
+    (as_bytes, bytearray(b"ab"), b"ab"),
+    (as_bytes, memoryview(b"ab"), b"ab"),
+    (as_bytes, memoryview(b"ab").cast("c"), b"ab"),
+    (as_bytes, np.array([97, 98], dtype=np.uint8), b"ab"),
+    (as_bytes, np.array([97, 98], dtype=np.int8), b"ab"),
+    (as_path, "a.pgm", "a.pgm"),
+    (as_path, b"a.pgm", b"a.pgm"),
+    (as_path, pathlib.Path("a.pgm"), pathlib.Path("a.pgm")),
+], ids=["bytes", "bytearray", "memoryview", "char-view", "uint8-array", "int8-array",
+        "str-path", "bytes-path", "pathlike"])
+def test_checkers_accept(check, value, want):
+    got = check(value, "data") if check is as_bytes else check(value)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("check, value", [
+    (as_bytes, "ab"),
+    (as_bytes, [97, 98]),
+    (as_bytes, None),
+    (as_bytes, 3),
+    (as_bytes, np.array([None])),
+    (as_bytes, np.array([1, 2], dtype=np.int32)),
+    (as_bytes, np.array([1.0])),
+    (as_bytes, np.array([True])),
+    (as_bytes, memoryview(b"abcd").cast("I")),
+    (as_path, None),
+    (as_path, 3),
+    (as_path, -1),
+    (as_path, True),
+    (as_path, 1.5),
+    (as_path, object()),
+    (as_path, ["a.pgm"]),
+], ids=["bytes-str", "bytes-list", "bytes-none", "bytes-int", "object-array", "int32-array",
+        "float-array", "bool-array", "uint-view", "path-none", "path-int", "path-negative-int",
+        "path-bool", "path-float", "path-object", "path-list"])
+def test_checkers_refuse(check, value):
+    with pytest.raises(ValidationError, match="must be"):
+        check(value, "data") if check is as_bytes else check(value)
 
 
 def test_validate_shift_width_bounds():

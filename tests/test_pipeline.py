@@ -37,13 +37,14 @@ from boundshift import (
     write_pgm,
 )
 from boundshift import cli, embedder, pipeline, preprocess
-from boundshift.codec import deserialize_side_file, serialize_side_file
-from boundshift.embedder import (
+from boundshift.formats import (
     FRAME_HEADER_BITS,
     bits_to_bytes,
     bytes_to_bits,
     deframe_payload,
+    deserialize_side_file,
     frame_payload,
+    serialize_side_file,
 )
 from boundshift.fixtures import _dark, _pooled_field
 from boundshift.predictor import predict_grid
@@ -368,9 +369,12 @@ _CMAP = compress(_OUT.locmap)
     (lambda: serialize_side_file(_PARAMS, CompressedMap(3, 1, 2**32, 0, b"")),
      re.escape("height must be in [0, 4294967295], got 4294967296")),
     (lambda: LocationMap(_OUT.locmap.symbols, True), "alphabet_size must be an integer, got True"),
+    # a buffer of pointers, not of bytes
+    (lambda: CompressedMap(3, 1, 1, 64, np.array([None])), "data must be bytes-like"),
 ], ids=["ragged-cover", "ragged-psnr", "ragged-census", "ragged-payload", "side-file-params",
         "ragged-map", "inverse-params", "inverse-locmap", "census-after-output", "compress-locmap",
-        "decompress-cmap", "serialize-cmap", "u32-width", "u32-height", "bool-alphabet"])
+        "decompress-cmap", "serialize-cmap", "u32-width", "u32-height", "bool-alphabet",
+        "object-array-data"])
 def test_public_calls_reject_malformed_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
@@ -429,6 +433,19 @@ def test_wrong_arguments_raise_only_package_errors(name):
             except Exception as exc:
                 leaks.append(f"argument {k} = {value!r}: {type(exc).__name__}: {exc}")
     assert leaks == []
+
+
+def test_paths_must_be_str_bytes_or_pathlike(monkeypatch, tmp_path):
+    # Not in _ENTRY_POINTS: there "x" is a well-typed path that names no
+    # file, and load_pgm rightly raises OSError (the CLI's I/O exit 5). An
+    # int must not be taken as a file descriptor.
+    monkeypatch.chdir(tmp_path)
+    for value in [v for v in _WRONG_VALUES if not isinstance(v, str)]:
+        with pytest.raises(ValidationError):
+            load_pgm(value)
+        with pytest.raises(ValidationError):
+            save_pgm(value, _COVER)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_selects_best_cell_and_breaks_ties_low():
