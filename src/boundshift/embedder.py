@@ -64,7 +64,7 @@ class PredictionErrorEmbedder:
     def capacity(self, img):
         """Number of payload bits img can carry."""
         errors = self._even_errors(as_gray(img))
-        return int(((errors == 0) | (errors == -1)).sum())
+        return int(np.count_nonzero((errors == 0) | (errors == -1)))
 
     def embed(self, img, bits):
         """Return a marked image carrying bits, unused carriers filled with zeros."""

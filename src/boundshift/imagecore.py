@@ -60,9 +60,13 @@ def as_bytes(data, name):
 
 def as_path(path):
     """path, if open() takes it as a file name: str, bytes or os.PathLike,
-    not an int, which open() would take for a file descriptor."""
+    not an int, which open() would take for a file descriptor, nor a name
+    holding a NUL, which no file system takes."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise ValidationError(f"path must be str, bytes or os.PathLike, got {type(path).__name__}")
+    name = os.fspath(path)
+    if ("\0" if isinstance(name, str) else b"\0") in name:
+        raise ValidationError("path must be free of NUL bytes")
     return path
 
 
@@ -90,7 +94,7 @@ def boundary_mask(img, shift):
 
 def count_boundary_pixels(img, shift):
     """Number of pixels inside the boundary band for the given shift width."""
-    return int(boundary_mask(img, shift).sum())
+    return int(np.count_nonzero(boundary_mask(img, shift)))
 
 
 def psnr(a, b):

@@ -63,15 +63,10 @@ class SweepRecord:
     selected: bool = False
 
 
-def _prepare(a, params, state=None):
-    """Shifted image, coded map and capacity; state is sweep's, if any."""
-    if state is None:
-        out = forward(a, params)
-        cmap = compress(out.locmap)
-    else:
-        out = state.passes.forward(params)
-        cmap = state.compress(out.locmap)
-    return out, cmap, _EMBEDDER.capacity(out.shifted)
+def _prepare(a, params):
+    """Shifted image, coded map and capacity of one cell."""
+    out = forward(a, params)
+    return out, compress(out.locmap), _EMBEDDER.capacity(out.shifted)
 
 
 def _embed_frame(out, cmap, room, payload, params, cover_crc):
@@ -157,9 +152,13 @@ def _cover_stats(a, shift):
 
 class _SweepState:
     """What the cells of one sweep share: the cover's stats, its forward
-    passes, and the last coded map, reused while the map does not change.
-    It holds a fixed number of images, whatever the grid size. measure_psnr
-    says whether a cell that fits embeds a payload to measure its PSNR."""
+    passes, the last coded map, reused while the map does not change, and
+    what each distinct cell measured. A cell whose passes move the same
+    cells as an earlier one (the same _ForwardCache.key) has the same
+    shifted image and map, so it reuses that cell's boundary count, coded
+    map and room. The state holds a fixed number of images, whatever the
+    grid size: the key cache holds no image. measure_psnr says whether a
+    cell that fits embeds a payload to measure its PSNR."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.cover = a
@@ -167,11 +166,31 @@ class _SweepState:
         self.stats = _cover_stats(a, shift)
         self.passes = _ForwardCache(a, shift)
         self.symbols = self.cmap = None
+        self.cells = {}
+        self.last = (None, None)
 
     def compress(self, locmap):
         if self.symbols is None or not np.array_equal(locmap.symbols, self.symbols):
             self.symbols, self.cmap = locmap.symbols, compress(locmap)
         return self.cmap
+
+    def measure(self, params):
+        """(boundary count after, coded map, room) of a cell, evaluated once
+        per key."""
+        key = self.passes.key(params)
+        if key not in self.cells:
+            out = self.output(params)
+            self.cells[key] = (boundary_count_after(out), self.compress(out.locmap),
+                               _EMBEDDER.capacity(out.shifted))
+        return self.cells[key]
+
+    def output(self, params):
+        """The cell's forward output; the last one is kept for a run of cells
+        of one key."""
+        key = self.passes.key(params)
+        if self.last[0] != key:
+            self.last = (key, self.passes.forward(params))
+        return self.last[1]
 
 
 def evaluate_cell(cover, params, state=None):
@@ -186,6 +205,8 @@ def evaluate_cell(cover, params, state=None):
         raise ValidationError("params must be a PreprocessParams")
     if state is None:
         before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
+        out, cmap, room = _prepare(a, params)
+        after_count = boundary_count_after(out)
     elif not isinstance(state, _SweepState):
         raise ValidationError("state must be a sweep's state")
     elif params.shift != state.passes.shift or (
@@ -193,8 +214,7 @@ def evaluate_cell(cover, params, state=None):
         raise ValidationError("state was built for another cover or shift width")
     else:
         before_count, before_bits, cover_crc = state.stats
-    out, cmap, room = _prepare(a, params, state)
-    after_count = boundary_count_after(out)
+        after_count, cmap, room = state.measure(params)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room < side_info:
@@ -202,6 +222,8 @@ def evaluate_cell(cover, params, state=None):
     elif state is not None and not state.measure_psnr:
         quality = math.nan
     else:
+        if state is not None:
+            out = state.output(params)
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
         marked = _embed_frame(out, cmap, room, payload, params, cover_crc)
         quality = psnr(a, marked)
@@ -225,10 +247,14 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     r_emb is flagged selected, ties resolved to the smallest pair.
 
     The cells share one _SweepState and run t_even-major, so the cover is
-    predicted once, each even pass once, and a map equal to the previous
-    cell's is not coded again. With measure_psnr=False no cell embeds: a
-    cell that fits reports psnr_db as NaN, and every other field, the
-    selected cell included, is the same."""
+    predicted once and each distinct even pass once. Cells whose thresholds
+    move the same pixels share one evaluation (forward pass, coded map and
+    capacity), which on a cover of saturated regions leaves a few of the
+    grid's cells; among the others, a map equal to the last one coded is
+    not coded again. With measure_psnr=False no cell embeds: a cell that
+    fits reports psnr_db as NaN, and every other field, the selected cell
+    included, is the same; with it, each cell that fits embeds its own
+    seeded payload."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     try:

@@ -96,9 +96,18 @@ def forward(cover, params):
 class _ForwardCache:
     """The forward transform of one cover under thresholds of one shift
     width. The cover is predicted once, and the even pass and its prediction
-    are kept for the last t_even only, so calls grouped by t_even predict
-    each even pass once while holding a fixed number of images. The cover
-    must be gray and at least 2x2; its callers check both."""
+    are kept for the last set of even cells moved only, so calls grouped by
+    t_even predict each distinct even pass once while holding a fixed number
+    of images. The cover must be gray and at least 2x2; its
+    callers check both.
+
+    For t <= 127 a pass moves the cells of its parity whose prediction is
+    below t or above 255 - t: two disjoint bands whose union only grows with
+    t, so how many cells a pass moves names the set it moves. A t_even that
+    moves as many even cells as the kept one reuses it, and key gives each
+    cell the pair of counts that fixes its output. The counts come from a
+    histogram of each prediction grid, built on first use, so a single
+    forward builds none."""
 
     def __init__(self, cover, shift):
         self.shift = shift
@@ -106,16 +115,45 @@ class _ForwardCache:
         self.cover_pred = predict_grid(self.work)
         self.t_even = None
         self.pass_even = self.even_pred = None
+        # per parity, None or a list whose item i counts the parity's cells
+        # predicted below i - 128
+        self.bands = [None, None]
+
+    def _moved(self, parity, t):
+        """How many cells of the parity a pass of threshold t moves."""
+        if self.bands[parity] is None:
+            pred = self.cover_pred if parity == 0 else self.even_pred
+            # even-pass predictions lie in [-127, 382]: offset by 128
+            counts = (np.bincount(pred[0::2, parity::2].ravel() + 128, minlength=512)
+                      + np.bincount(pred[1::2, 1 - parity::2].ravel() + 128, minlength=512))
+            # a list: a cell's key then costs a few list reads, no NumPy call
+            self.bands[parity] = [0, *np.cumsum(counts).tolist()]
+        below = self.bands[parity]
+        # cells predicted below t, plus those above 255 - t
+        return below[t + 128] + below[-1] - below[384 - t]
+
+    def _even(self, t_even):
+        """Bring the kept even pass to t_even's, predicting it only when it
+        moves another set of cells than the kept one."""
+        if t_even != self.t_even and (
+                self.t_even is None or self._moved(0, t_even) != self._moved(0, self.t_even)):
+            self.pass_even = _apply_pass(self.work, self.cover_pred, 0, t_even, self.shift, +1)
+            self.even_pred = predict_grid(self.pass_even)
+            self.bands[1] = None
+        self.t_even = t_even
+
+    def key(self, params):
+        """(even cells moved, odd cells moved): cells with equal keys have
+        equal shifted images and maps; params must be of this shift width."""
+        self._even(params.t_even)
+        return self._moved(0, params.t_even), self._moved(1, params.t_odd)
 
     def forward(self, params):
-        """Even pass (kept while t_even repeats), odd pass, then the clamp;
-        params must be of this shift width."""
-        t = self.shift
-        if params.t_even != self.t_even:
-            self.pass_even = _apply_pass(self.work, self.cover_pred, 0, params.t_even, t, +1)
-            self.even_pred = predict_grid(self.pass_even)
-            self.t_even = params.t_even
-        return _clamp(_apply_pass(self.pass_even, self.even_pred, 1, params.t_odd, t, +1), params)
+        """Even pass (kept while the cells it moves repeat), odd pass, then
+        the clamp; params must be of this shift width."""
+        self._even(params.t_even)
+        odd = _apply_pass(self.pass_even, self.even_pred, 1, params.t_odd, self.shift, +1)
+        return _clamp(odd, params)
 
 
 def _unclamp(shifted, symbols, shift):
@@ -169,4 +207,4 @@ def boundary_count_after(output):
     if not isinstance(output, PreprocessOutput):
         raise ValidationError("expected a PreprocessOutput")
     clear = 2 * output.params.shift
-    return int((output.locmap.symbols != clear).sum())
+    return int(np.count_nonzero(output.locmap.symbols != clear))

@@ -70,9 +70,11 @@ def test_checkers_accept(check, value, want):
     (as_path, 1.5),
     (as_path, object()),
     (as_path, ["a.pgm"]),
+    (as_path, "a\0b"),
+    (as_path, b"a\0b"),
 ], ids=["bytes-str", "bytes-list", "bytes-none", "bytes-int", "object-array", "int32-array",
         "float-array", "bool-array", "uint-view", "path-none", "path-int", "path-negative-int",
-        "path-bool", "path-float", "path-object", "path-list"])
+        "path-bool", "path-float", "path-object", "path-list", "path-nul-str", "path-nul-bytes"])
 def test_checkers_refuse(check, value):
     with pytest.raises(ValidationError, match="must be"):
         check(value, "data") if check is as_bytes else check(value)

@@ -440,7 +440,7 @@ def test_paths_must_be_str_bytes_or_pathlike(monkeypatch, tmp_path):
     # file, and load_pgm rightly raises OSError (the CLI's I/O exit 5). An
     # int must not be taken as a file descriptor.
     monkeypatch.chdir(tmp_path)
-    for value in [v for v in _WRONG_VALUES if not isinstance(v, str)]:
+    for value in [v for v in _WRONG_VALUES if not isinstance(v, str)] + ["a\0b", b"a\0b"]:
         with pytest.raises(ValidationError):
             load_pgm(value)
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
-"""Threshold sweep: pinned reports, a cell-by-cell differential test, its
-error paths, and a bound on the work it repeats."""
+"""Threshold sweep: pinned reports, a cell-by-cell differential test, also
+at the edges of the key that lets cells share an evaluation, its error
+paths, and counts of the work it does."""
 
 import dataclasses
 import hashlib
@@ -259,9 +260,109 @@ def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fre
     records = sweep(cover, range(1, 17), 1)
     assert len(records) == 256
     assert len({(rec.r_emb, rec.boundary_after, rec.map_bits_after) for rec in records}) == 1
-    # the cover and 16 even passes; the shifted image once for all 256
-    # cells' capacity and embed
-    assert calls == {preprocess: 17, embedder: 1}
+    # the cover and one even pass, as every t_even moves no cell; the
+    # shifted image once for all 256 cells' capacity and embed
+    assert calls == {preprocess: 2, embedder: 1}
+
+
+@pytest.mark.parametrize("measure_psnr", [True, False])
+def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, measure_psnr):
+    counts = {"odd passes": 0, "capacity": 0}
+    apply_pass = preprocess._apply_pass
+
+    def counted_pass(grid, pred, parity, *args):
+        counts["odd passes"] += parity == 1
+        return apply_pass(grid, pred, parity, *args)
+
+    monkeypatch.setattr(preprocess, "_apply_pass", counted_pass)
+
+    def run(cover):
+        embedder_ = fresh_embedder()
+        capacity = embedder_.capacity
+
+        def counted_capacity(img):
+            counts["capacity"] += 1
+            return capacity(img)
+
+        monkeypatch.setattr(embedder_, "capacity", counted_capacity)
+        counts.update(dict.fromkeys(counts, 0))
+        return sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
+
+    # no threshold up to 16 moves a pixel: one cell, evaluated once
+    assert len(run(smooth_image(9, 32, 32))) == 256
+    assert counts == {"odd passes": 1, "capacity": 1}
+
+    # on blobs, the thresholds move few distinct sets of pixels; the cells
+    # of t_odd 1 do not fit, so no PSNR embed follows a cell of another key
+    cover = _blobs(default_rng(10), 64, 64, 0.45)
+    run(cover)
+    monkeypatch.undo()
+    distinct = set()
+    for t_even in range(1, 17):
+        for t_odd in range(1, 17):
+            out = forward(cover, PreprocessParams(1, t_even, t_odd))
+            distinct.add((out.shifted.tobytes(), out.locmap.symbols.tobytes()))
+    assert 1 < len(distinct) < 256
+    assert counts == {"odd passes": len(distinct), "capacity": len(distinct)}
+
+
+def _pools_with_seams(n=16):
+    """A 0 pool over a 255 pool, each crossed by a checkerboard seam whose
+    even cells hold the other extreme: at shift 3 the even pass moves those
+    cells out of [0, 255], so the odd cells there predict -3 and 258."""
+    phase = np.indices((n, n)).sum(0) % 2
+    cover = np.zeros((n, n), np.uint8)
+    cover[n // 2:] = 255
+    cover[2:6] = 255 * phase[2:6]
+    cover[n - 6:n - 2] = 255 * (1 - phase[n - 6:n - 2])
+    return cover
+
+
+def _blocky(seed, values, n=24):
+    """A cover of 4x4 blocks, each of one of the values: flat inside, so a
+    frame fits."""
+    rng = default_rng(seed)
+    return np.kron(rng.choice(np.array(values, np.uint8), (n // 4, n // 4)),
+                   np.ones((4, 4), np.uint8))
+
+
+# The key's edges: thresholds that are not contiguous; predictions at one
+# end of a band that t = 5 moves and t = 1 does not (1 and 4 below, 251
+# and 254 above), so a key off by one there names two sets alike; t up to
+# 127, where the bands below t and above 255 - t meet; and covers (marked
+# True) whose even cells the even pass moves below 0 and above 255 at
+# shift 3.
+KEY_EDGES = {
+    **{f"band-end-{v}": (_blocky(v, [v, 128]), 1, False) for v in (1, 4, 251, 254)},
+    "mid-values": (_blocky(30, [126, 127, 128, 129]), 1, False),
+    "pools": (_pools_with_seams(), 3, True),
+    "noise": (default_rng(31).choice(np.array([0, 255], np.uint8), (16, 16)), 3, True),
+    "extremes": (default_rng(32).choice(
+        np.array([0, 1, 2, 3, 128, 252, 253, 254, 255], np.uint8), (13, 11)), 3, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_EDGES))
+def test_sweep_matches_the_oracle_at_the_key_edges(name):
+    cover, shift, leaves_range = KEY_EDGES[name]
+    thresholds = [1, 5, 127]
+    if leaves_range:
+        passes = preprocess._ForwardCache(cover, shift)
+        preds = []
+        for t_even in thresholds:
+            passes.forward(PreprocessParams(shift, t_even, 1))
+            preds.append(passes.even_pred[np.indices(cover.shape).sum(0) % 2 == 1])
+        assert min(p.min() for p in preds) < 0 and max(p.max() for p in preds) > 255
+    expected = oracle_sweep(cover, thresholds, shift)
+    assert sweep(cover, thresholds, shift) == expected
+    for rec, want in zip(sweep(cover, thresholds, shift, measure_psnr=False), expected):
+        assert dataclasses.replace(rec, psnr_db=want.psnr_db) == want
+    # a key names a cell's output in any order, not only the sweep's
+    state = pipeline._SweepState(cover, shift)
+    for k in default_rng(33).permutation(len(expected)):
+        want = dataclasses.replace(expected[k], selected=False)
+        params = PreprocessParams(shift, want.t_even, want.t_odd)
+        assert pipeline.evaluate_cell(cover, params, state) == want
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (1, 5)])
