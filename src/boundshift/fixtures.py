@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .imagecore import count_boundary_pixels
+from .imagecore import as_path, check_param, count_boundary_pixels
 from .pgm import write_pgm
 
 MANIFEST_NAME = "manifest.csv"
@@ -149,7 +149,10 @@ def _build_images(seed):
 
 
 def generate_corpus(out_dir, seed=7):
-    """Write the corpus plus manifest.csv into out_dir; returns manifest rows."""
+    """Write the corpus plus manifest.csv into out_dir; returns manifest rows.
+    Both arguments are checked before anything is created."""
+    out_dir = as_path(out_dir)
+    seed = check_param("seed", seed, 0, 2**64 - 1)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     counters = {}

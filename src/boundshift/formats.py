@@ -4,10 +4,13 @@ container and the LP side file; no other module knows their bytes.
 A frame is one bitstream, MSB-first: a 136-bit big-endian header (u8
 magic, version, shift, t_even, t_odd; u32 map bit length, payload bit
 length, CRC-32), then the compressed location map, then the payload. The
-CRC-32 (frame_crc) runs over the cover's raster-order bytes, then the
-packed payload bits, so the extractor can tell a recovered cover or
-payload that is wrong from one that is exact. Version 1 frames, whose
-104-bit header ends at the payload bit length, carry no such check, so the
+integrity rule is decided here alone: frame_crc computes the CRC-32 from
+the cover array and the payload bits (the cover's raster-order bytes, then
+the packed payload bits), and check_frame raises CorruptionError when the
+checksum deframe_payload read does not match the recovered cover and
+payload, so the extractor can tell a result that is wrong from one that
+is exact. Version 1 frames, whose 104-bit header ends at the payload bit
+length, carry no such check (check_frame takes their None), so the
 pipeline decodes them only on request (extract_full's legacy_v1).
 """
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .codec import CompressedMap
 from .errors import CorruptionError, ValidationError
-from .imagecore import as_bits, as_bytes
+from .imagecore import as_bits, as_bytes, as_gray, check_param
 from .preprocess import PreprocessParams
 
 FRAME_MAGIC = 0xB5
@@ -45,10 +48,20 @@ def bits_to_bytes(bits):
     return np.packbits(as_bits(bits)).tobytes()
 
 
-def frame_crc(cover_crc, payload):
-    """CRC-32 over the cover's raster-order bytes, then the packed payload
-    bits, continued from cover_crc = zlib.crc32(cover.tobytes())."""
-    return zlib.crc32(np.packbits(payload).tobytes(), cover_crc)
+def frame_crc(cover, payload):
+    """The CRC-32 a frame carries: over the cover's raster-order bytes, then
+    the payload bits packed MSB-first."""
+    return zlib.crc32(bits_to_bytes(payload), zlib.crc32(as_gray(cover).tobytes()))
+
+
+def check_frame(checksum, cover, payload):
+    """Raise CorruptionError unless checksum, as deframe_payload read it, is
+    the frame_crc of the recovered cover and payload; None, a version 1
+    frame's, checks nothing."""
+    if checksum is None:
+        return
+    if check_param("checksum", checksum, 0, 0xFFFFFFFF) != frame_crc(cover, payload):
+        raise CorruptionError("frame checksum does not match the recovered cover and payload")
 
 
 def _params(shift, t_even, t_odd, what):

@@ -2,14 +2,13 @@
 
 embed_full chains the boundary-clearing transform, map compression,
 framing, and the embedder; extract_full is blind (everything it needs
-travels in-band) and inverts the chain exactly, then checks the frame's
-CRC-32 against the recovered cover and payload. max_payload is the capacity
-left after the 136-bit header and the compressed map; sweep evaluates a
-threshold grid and flags the best cell.
+travels in-band) and inverts the chain exactly, then checks the recovered
+cover and payload against the frame's CRC-32 (formats.check_frame).
+max_payload is the capacity left after the 136-bit header and the
+compressed map; sweep evaluates a threshold grid and flags the best cell.
 """
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .codec import compress, compress_binary_baseline, decompress
 from .embedder import PredictionErrorEmbedder
 from .errors import CapacityError, CorruptionError, ValidationError
-from .formats import FRAME_HEADER_BITS, deframe_payload, frame_crc, frame_payload
+from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
 from .imagecore import as_bits, as_gray, count_boundary_pixels, psnr, validate_shift_width
 from .preprocess import (
     PreprocessParams,
@@ -69,9 +68,9 @@ def _prepare(a, params):
     return out, compress(out.locmap), _EMBEDDER.capacity(out.shifted)
 
 
-def _embed_frame(out, cmap, room, payload, params, cover_crc):
+def _embed_frame(out, cmap, room, payload, params, cover):
     """Frame map and payload, check that the frame fits, and embed it."""
-    framed = frame_payload(payload, cmap, params, frame_crc(cover_crc, payload))
+    framed = frame_payload(payload, cmap, params, frame_crc(cover, payload))
     if framed.size > room:
         raise CapacityError(
             f"frame of {framed.size} bits exceeds capacity {room} "
@@ -92,7 +91,7 @@ def embed_full(cover, payload, params):
     bits = as_bits(payload)
     a = as_gray(cover)
     out, cmap, room = _prepare(a, params)
-    marked = _embed_frame(out, cmap, room, bits, params, zlib.crc32(a.tobytes()))
+    marked = _embed_frame(out, cmap, room, bits, params, a)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     return EmbedResult(
         marked=marked,
@@ -122,8 +121,7 @@ def extract_full(marked, legacy_v1=False):
         )
     locmap = decompress(cmap)
     cover = inverse(shifted, locmap, params)
-    if checksum is not None and checksum != frame_crc(zlib.crc32(cover.tobytes()), payload):
-        raise CorruptionError("frame checksum does not match the recovered cover and payload")
+    check_frame(checksum, cover, payload)
     return payload, cover
 
 
@@ -144,10 +142,10 @@ def _payload_for_report(bit_count, t_even, t_odd):
 
 
 def _cover_stats(a, shift):
-    """(boundary census, baseline map bits, CRC-32) of a cover: what every
-    cell of the cover shares."""
+    """(boundary census, baseline map bits) of a cover: what every cell of
+    the cover shares."""
     before_bits = compress_binary_baseline(a, shift).bit_length
-    return count_boundary_pixels(a, shift), before_bits, zlib.crc32(a.tobytes())
+    return count_boundary_pixels(a, shift), before_bits
 
 
 class _SweepState:
@@ -204,7 +202,7 @@ def evaluate_cell(cover, params, state=None):
     if not isinstance(params, PreprocessParams):
         raise ValidationError("params must be a PreprocessParams")
     if state is None:
-        before_count, before_bits, cover_crc = _cover_stats(a, params.shift)
+        before_count, before_bits = _cover_stats(a, params.shift)
         out, cmap, room = _prepare(a, params)
         after_count = boundary_count_after(out)
     elif not isinstance(state, _SweepState):
@@ -213,7 +211,7 @@ def evaluate_cell(cover, params, state=None):
             a is not state.cover and not np.array_equal(a, state.cover)):
         raise ValidationError("state was built for another cover or shift width")
     else:
-        before_count, before_bits, cover_crc = state.stats
+        before_count, before_bits = state.stats
         after_count, cmap, room = state.measure(params)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
@@ -225,7 +223,7 @@ def evaluate_cell(cover, params, state=None):
         if state is not None:
             out = state.output(params)
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
-        marked = _embed_frame(out, cmap, room, payload, params, cover_crc)
+        marked = _embed_frame(out, cmap, room, payload, params, a)
         quality = psnr(a, marked)
     defined = before_count > 0
     return SweepRecord(

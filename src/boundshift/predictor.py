@@ -29,7 +29,10 @@ def predict_grid(img):
     int8 grid does; any other grid raises ValidationError rather than
     overflow the int16 sums.
     """
-    a = np.asarray(img)
+    try:
+        a = np.asarray(img)
+    except ValueError as exc:
+        raise ValidationError(f"grid is not rectangular: {exc}") from None
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-D grid, got shape {a.shape}")
     h, w = a.shape

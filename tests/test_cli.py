@@ -325,6 +325,16 @@ def test_gen_fixtures_writes_corpus(tmp_path, capsys):
     assert len(list(out.glob("*.pgm"))) == 76
 
 
+def test_gen_fixtures_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    rc = main(["gen-fixtures", str(out), "--seed", "-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be in [0, ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_fixed_cell_report(tmp_path):
     d = tmp_path / "imgs"
     d.mkdir()

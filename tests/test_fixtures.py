@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from boundshift import count_boundary_pixels, load_pgm
+from boundshift import ValidationError, count_boundary_pixels, load_pgm
 from boundshift.fixtures import MANIFEST_FIELDS, MANIFEST_NAME, generate_corpus
 
 
@@ -31,6 +31,14 @@ def test_seed_changes_content(tmp_path, corpus_dir):
     other = tmp_path / "other"
     generate_corpus(other, seed=8)
     assert _dir_digest(other) != _dir_digest(corpus_dir)
+
+
+def test_wrong_arguments_create_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for args in [("d", "x"), ("d", -1), ("d", True), (None,), (3,)]:
+        with pytest.raises(ValidationError):
+            generate_corpus(*args)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_inventory(corpus_dir):

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from numpy.random import default_rng
@@ -17,7 +19,9 @@ from boundshift.formats import (
     FRAME_HEADER_BITS,
     bits_to_bytes,
     bytes_to_bits,
+    check_frame,
     deframe_payload,
+    frame_crc,
     frame_payload,
 )
 
@@ -155,3 +159,25 @@ def test_frame_rejects_wrong_types():
         frame_payload([0, 2, 1], cmap, PreprocessParams(1, 1, 1), 0)
     with pytest.raises(ValidationError):
         frame_payload([], cmap, PreprocessParams(1, 1, 1), 1 << 32)
+
+
+def test_frame_crc_and_check_frame_hold_the_whole_rule():
+    # a strided, non-contiguous view: its raster order is not its memory order
+    cover = default_rng(5).integers(0, 256, (12, 18), dtype=np.uint8)[::2, ::3].T
+    assert not cover.flags.c_contiguous
+    payload = default_rng(6).integers(0, 2, size=13, dtype=np.uint8)
+    checksum = frame_crc(cover, payload)
+    assert checksum == zlib.crc32(cover.tobytes() + np.packbits(payload).tobytes())
+
+    check_frame(checksum, cover, payload)
+    check_frame(None, cover, payload)      # a version 1 frame carries no checksum
+    changed = cover.copy()
+    changed[1, 2] ^= 1
+    with pytest.raises(CorruptionError, match="checksum"):
+        check_frame(checksum, changed, payload)
+    flipped = payload.copy()
+    flipped[-1] ^= 1
+    with pytest.raises(CorruptionError, match="checksum"):
+        check_frame(checksum, cover, flipped)
+    with pytest.raises(ValidationError, match="0 or 1"):
+        check_frame(checksum, cover, np.where(payload == 1, 2, 0))

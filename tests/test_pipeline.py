@@ -41,8 +41,10 @@ from boundshift.formats import (
     FRAME_HEADER_BITS,
     bits_to_bytes,
     bytes_to_bits,
+    check_frame,
     deframe_payload,
     deserialize_side_file,
+    frame_crc,
     frame_payload,
     serialize_side_file,
 )
@@ -416,6 +418,9 @@ _ENTRY_POINTS = {
     "deframe_payload": (deframe_payload, frame_payload([1, 0], _CMAP, _PARAMS, 0), 32, 32),
     "bytes_to_bits": (bytes_to_bits, b"\x5a"),
     "bits_to_bytes": (bits_to_bytes, [1, 0]),
+    "frame_crc": (frame_crc, _COVER, [1, 0]),
+    "check_frame": (check_frame, frame_crc(_COVER, [1, 0]), _COVER, [1, 0]),
+    "predict_grid": (predict_grid, _COVER),
 }
 
 
