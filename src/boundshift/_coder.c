@@ -5,10 +5,15 @@
  * adaptive order-0 model (counts start at 1, grow by 32, and are all halved,
  * floor 1, when the updated count reaches 2**16). Every count stays below
  * 2**16 and the alphabet has at most 256 symbols, so a total is below 2**24,
- * and a span is at most 2**32: every product of the two is below 2**56,
- * which uint64_t holds. codec.py loads this file through ctypes and keeps
- * the Python loops as the fallback and as the reference the tests compare
- * against.
+ * and a span is at most 2**32: every product of the two is below 2**56, which
+ * uint64_t holds. codec.py loads this file through ctypes; its Python loops
+ * are the fallback and the reference the tests compare against.
+ * A decode fails only when the stream runs out, since for any input
+ * low <= code <= high before each symbol, from the start (low 0, high 2**32 - 1,
+ * code 32 bits); then 1 <= code - low + 1 <= span puts value in [0, total - 1],
+ * cum <= value < cum + freq[s] puts code in the symbol's sub-interval, and the
+ * renormalization steps map all three alike (drop the shared top bit, or
+ * subtract 2**30, then double), code's new bit between low's 0 and high's 1.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -19,7 +24,7 @@
 #define INCREMENT 32
 #define CAP 65536
 
-enum { BS_OK = 0, BS_DESYNC = 1, BS_EXHAUSTED = 2, BS_NO_MEMORY = 3 };
+enum { BS_OK = 0, BS_EXHAUSTED = 2, BS_NO_MEMORY = 3 };
 
 static void model_init(uint32_t *freq, uint64_t *total, int alphabet) {
     for (int i = 0; i < alphabet; i++)
@@ -104,10 +109,6 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
     for (; n < count; n++) {
         uint64_t span = (uint64_t)high - low + 1;
         uint64_t value = (((uint64_t)code - low + 1) * total - 1) / span;
-        if (code < low || value >= total) {
-            status = BS_DESYNC;
-            break;
-        }
         int s = 0;
         uint64_t cum = 0;
         while (cum + freq[s] <= value)
@@ -133,8 +134,6 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
             code |= BIT(pos);
             pos++;
         }
-        if (status == BS_OK && (code < low || code > high))
-            status = BS_DESYNC;
         if (status != BS_OK)
             break;
         if (n == cap) {

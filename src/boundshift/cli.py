@@ -26,7 +26,6 @@ from .pipeline import (
     embed_full,
     evaluate_cell,
     extract_full,
-    max_payload,
     sweep,
 )
 from .predictor import predict_grid

@@ -44,9 +44,8 @@ _HALF_MASK = _FULL_MASK >> 1
 _SECOND_BIT = _TOP_BIT >> 1
 _MODEL_INCREMENT = 32
 _MODEL_CAP = 1 << 16
-_DESYNCHRONIZED = "decoder state desynchronized"
 _EXHAUSTED = "compressed map exhausted mid-decode"
-_KERNEL_ERRORS = {1: _DESYNCHRONIZED, 2: _EXHAUSTED}
+_KERNEL_ERRORS = {2: _EXHAUSTED}
 _KERNEL_NO_MEMORY = 3
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coder.c")
 
@@ -125,7 +124,12 @@ def _encode_py(symbols, alphabet_size):
 def _decode_py(data, bit_length, count, alphabet_size):
     """The decode loop in Python: the count symbols coded in the first
     bit_length bits of data, as bytes. The fallback when the kernel is
-    absent, and its reference."""
+    absent, and its reference. Only running out of bits fails it: for any input,
+    low <= code <= high before each symbol, from the start (low 0, high 2**32 - 1,
+    code 32 bits); then 1 <= code - low + 1 <= span puts value in [0, total - 1],
+    cum <= value < cum + freq[s] puts code in the symbol's sub-interval, and the
+    renormalization steps map all three alike (drop the shared top bit, or
+    subtract 2**30, then double), code's new bit between low's 0 and high's 1."""
     stream = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=bit_length)
     bits = stream.tolist() + [0] * _STATE_BITS
     end = len(bits)
@@ -140,8 +144,6 @@ def _decode_py(data, bit_length, count, alphabet_size):
     for _ in range(count):
         span = high - low + 1
         value = ((code - low + 1) * total - 1) // span
-        if not 0 <= value < total:
-            raise CorruptionError(_DESYNCHRONIZED)
         s, cum = 0, 0
         while cum + freq[s] <= value:
             cum += freq[s]
@@ -163,8 +165,6 @@ def _decode_py(data, bit_length, count, alphabet_size):
                 raise CorruptionError(_EXHAUSTED)
             code |= bits[pos]
             pos += 1
-        if not low <= code <= high:
-            raise CorruptionError(_DESYNCHRONIZED)
         out.append(s)
         freq[s] += _MODEL_INCREMENT
         total += _MODEL_INCREMENT

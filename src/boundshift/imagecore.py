@@ -1,6 +1,6 @@
 """Checks of outside values, one per kind (as_gray, as_bits, as_bytes,
-as_path, check_param), each raising ValidationError; and grid primitives:
-boundary census, PSNR."""
+as_path, as_flag, check_param), each raising ValidationError; and grid
+primitives: boundary census, PSNR."""
 
 import math
 import os
@@ -68,6 +68,14 @@ def as_path(path):
     if ("\0" if isinstance(name, str) else b"\0") in name:
         raise ValidationError("path must be free of NUL bytes")
     return path
+
+
+def as_flag(value, name):
+    """value as a bool, if it is a Python or NumPy bool: "no", 0 or [0] is
+    not taken for one by its truth value."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def validate_shift_width(shift):

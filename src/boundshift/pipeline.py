@@ -17,7 +17,7 @@ from .codec import compress, compress_binary_baseline, decompress
 from .embedder import PredictionErrorEmbedder
 from .errors import CapacityError, CorruptionError, ValidationError
 from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
-from .imagecore import as_bits, as_gray, count_boundary_pixels, psnr, validate_shift_width
+from .imagecore import as_bits, as_flag, as_gray, count_boundary_pixels, psnr, validate_shift_width
 from .preprocess import (
     PreprocessParams,
     _check_size,
@@ -110,6 +110,7 @@ def extract_full(marked, legacy_v1=False):
     a version 2 frame into one, so it is decoded only with legacy_v1=True;
     otherwise it raises CorruptionError.
     """
+    legacy_v1 = as_flag(legacy_v1, "legacy_v1")
     a = as_gray(marked)
     stream, shifted = _EMBEDDER.extract(a)
     height, width = a.shape
@@ -159,7 +160,6 @@ class _SweepState:
     cell that fits embeds a payload to measure its PSNR."""
 
     def __init__(self, a, shift, measure_psnr=True):
-        self.cover = a
         self.measure_psnr = measure_psnr
         self.stats = _cover_stats(a, shift)
         self.passes = _ForwardCache(a, shift)
@@ -167,18 +167,16 @@ class _SweepState:
         self.cells = {}
         self.last = (None, None)
 
-    def compress(self, locmap):
-        if self.symbols is None or not np.array_equal(locmap.symbols, self.symbols):
-            self.symbols, self.cmap = locmap.symbols, compress(locmap)
-        return self.cmap
-
     def measure(self, params):
         """(boundary count after, coded map, room) of a cell, evaluated once
         per key."""
         key = self.passes.key(params)
         if key not in self.cells:
             out = self.output(params)
-            self.cells[key] = (boundary_count_after(out), self.compress(out.locmap),
+            symbols = out.locmap.symbols
+            if self.symbols is None or not np.array_equal(symbols, self.symbols):
+                self.symbols, self.cmap = symbols, compress(out.locmap)
+            self.cells[key] = (boundary_count_after(out), self.cmap,
                                _EMBEDDER.capacity(out.shifted))
         return self.cells[key]
 
@@ -208,7 +206,7 @@ def evaluate_cell(cover, params, state=None):
     elif not isinstance(state, _SweepState):
         raise ValidationError("state must be a sweep's state")
     elif params.shift != state.passes.shift or (
-            a is not state.cover and not np.array_equal(a, state.cover)):
+            a is not state.passes.cover and not np.array_equal(a, state.passes.cover)):
         raise ValidationError("state was built for another cover or shift width")
     else:
         before_count, before_bits = state.stats
@@ -267,6 +265,7 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     thresholds = sorted(set(int(v) for v in values))
     if not thresholds:
         raise ValidationError("t_range must not be empty")
+    measure_psnr = as_flag(measure_psnr, "measure_psnr")
     # the first cell's thresholds are checked before the cover's size, as
     # evaluating that cell on its own would, and all others before any cell
     # runs, each as the t_odd of the first cell in sweep order to meet it

@@ -98,8 +98,9 @@ class _ForwardCache:
     width. The cover is predicted once, and the even pass and its prediction
     are kept for the last set of even cells moved only, so calls grouped by
     t_even predict each distinct even pass once while holding a fixed number
-    of images. The cover must be gray and at least 2x2; its
-    callers check both.
+    of images. The cover must be gray (uint8) and at least 2x2; its callers
+    check both. It is kept as given: adding a pass's int8 steps to it gives
+    an int16 grid.
 
     For t <= 127 a pass moves the cells of its parity whose prediction is
     below t or above 255 - t: two disjoint bands whose union only grows with
@@ -111,8 +112,8 @@ class _ForwardCache:
 
     def __init__(self, cover, shift):
         self.shift = shift
-        self.work = cover.astype(np.int16)
-        self.cover_pred = predict_grid(self.work)
+        self.cover = cover
+        self.cover_pred = predict_grid(cover)
         self.t_even = None
         self.pass_even = self.even_pred = None
         # per parity, None or a list whose item i counts the parity's cells
@@ -137,7 +138,7 @@ class _ForwardCache:
         moves another set of cells than the kept one."""
         if t_even != self.t_even and (
                 self.t_even is None or self._moved(0, t_even) != self._moved(0, self.t_even)):
-            self.pass_even = _apply_pass(self.work, self.cover_pred, 0, t_even, self.shift, +1)
+            self.pass_even = _apply_pass(self.cover, self.cover_pred, 0, t_even, self.shift, +1)
             self.even_pred = predict_grid(self.pass_even)
             self.bands[1] = None
         self.t_even = t_even

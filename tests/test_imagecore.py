@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 
@@ -6,9 +7,11 @@ import pytest
 from numpy.random import default_rng
 
 from boundshift import LocationMap, ValidationError, count_boundary_pixels, psnr
-from boundshift.imagecore import as_bytes, as_gray, as_path, validate_shift_width
+from boundshift.imagecore import as_bytes, as_flag, as_gray, as_path, validate_shift_width
 
 from oracle_predict import parity_of
+
+_as_flag = functools.partial(as_flag, name="flag")
 
 
 def test_as_gray_accepts_lists_and_integer_dtypes():
@@ -29,6 +32,7 @@ def test_as_gray_accepts_lists_and_integer_dtypes():
         np.zeros((2, 2), dtype=np.float64),
         [[0, 256]],
         [[-1, 0]],
+        np.zeros((0, 3), dtype=np.uint8),
     ],
 )
 def test_as_gray_rejects_bad_input(bad):
@@ -46,8 +50,13 @@ def test_as_gray_rejects_bad_input(bad):
     (as_path, "a.pgm", "a.pgm"),
     (as_path, b"a.pgm", b"a.pgm"),
     (as_path, pathlib.Path("a.pgm"), pathlib.Path("a.pgm")),
+    (_as_flag, True, True),
+    (_as_flag, False, False),
+    (_as_flag, np.True_, True),
+    (_as_flag, np.False_, False),
 ], ids=["bytes", "bytearray", "memoryview", "char-view", "uint8-array", "int8-array",
-        "str-path", "bytes-path", "pathlike"])
+        "str-path", "bytes-path", "pathlike", "flag-true", "flag-false", "flag-numpy-true",
+        "flag-numpy-false"])
 def test_checkers_accept(check, value, want):
     got = check(value, "data") if check is as_bytes else check(value)
     assert got == want and type(got) is type(want)
@@ -72,9 +81,18 @@ def test_checkers_accept(check, value, want):
     (as_path, ["a.pgm"]),
     (as_path, "a\0b"),
     (as_path, b"a\0b"),
+    (_as_flag, "no"),
+    (_as_flag, 0),
+    (_as_flag, 1),
+    (_as_flag, None),
+    (_as_flag, [0]),
+    (_as_flag, np.int64(1)),
+    (_as_flag, np.array(True)),
 ], ids=["bytes-str", "bytes-list", "bytes-none", "bytes-int", "object-array", "int32-array",
         "float-array", "bool-array", "uint-view", "path-none", "path-int", "path-negative-int",
-        "path-bool", "path-float", "path-object", "path-list", "path-nul-str", "path-nul-bytes"])
+        "path-bool", "path-float", "path-object", "path-list", "path-nul-str", "path-nul-bytes",
+        "flag-str", "flag-zero", "flag-one", "flag-none", "flag-list", "flag-numpy-int",
+        "flag-0d-array"])
 def test_checkers_refuse(check, value):
     with pytest.raises(ValidationError, match="must be"):
         check(value, "data") if check is as_bytes else check(value)

@@ -85,6 +85,7 @@ def test_maxval_below_255_accepted_when_pixels_fit():
         (b"P5\n2 2\n255", 10),                         # missing raster separator
         (b"P5\n2 2\n255# c\n" + bytes(4), 10),         # comment where raster should start
         (b"P2\n2 2\n255\n1 2 3", 16),                  # truncated samples
+        (b"P2\n4 4\n255\n1 2", 14),                    # fewer bytes than samples
         (b"P2\n2 1\n255\n1 x", 13),                    # non-numeric sample
         (b"P2\n2 1\n10\n1 11", 12),                    # sample above maxval
         (b"P2\n2 1\n255\n1 2 3", 15),                  # trailing sample

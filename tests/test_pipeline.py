@@ -453,6 +453,18 @@ def test_paths_must_be_str_bytes_or_pathlike(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_flags_take_only_a_bool():
+    # A flag's truth value is not asked: "no" or [0] would turn it on.
+    for value in _WRONG_VALUES + ["no", 0]:
+        with pytest.raises(ValidationError, match="legacy_v1 must be a bool"):
+            extract_full(_MARKED, value)
+        with pytest.raises(ValidationError, match="measure_psnr must be a bool"):
+            sweep(_COVER, [1, 4], 1, value)
+    marked = load_pgm(Path(__file__).parent / "golden" / "marked_v1_32x32.pgm")
+    with pytest.raises(ValidationError):
+        extract_full(marked, legacy_v1="no")
+
+
 def test_sweep_selects_best_cell_and_breaks_ties_low():
     cover = np.full((16, 16), 128, dtype=np.uint8)
     records = sweep(cover, range(1, 5), 1)

@@ -79,6 +79,13 @@ def test_predict_grid_handles_single_row_and_column():
     assert predict_grid(col).ravel().tolist() == [9, _naive_round(Fraction(19, 2)), 9]
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_predict_grid_of_an_empty_grid_is_empty(shape, dtype):
+    grid = predict_grid(np.zeros(shape, dtype=dtype))
+    assert grid.shape == shape and grid.dtype == np.int16
+
+
 def test_predict_rejects_out_of_bounds_and_degenerate():
     img = np.array([[1, 2], [3, 4]])
     with pytest.raises(ValidationError):
