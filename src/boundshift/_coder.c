@@ -1,13 +1,27 @@
 /* The location-map arithmetic coder of codec.py, as a compiled kernel.
  *
- * A line-for-line port of codec._encode_py and codec._decode_py: the
- * Witten-Neal-Cleary 32-bit integer coder with pending-bit carries and an
- * adaptive order-0 model (counts start at 1, grow by 32, and are all halved,
- * floor 1, when the updated count reaches 2**16). Every count stays below
- * 2**16 and the alphabet has at most 256 symbols, so a total is below 2**24,
- * and a span is at most 2**32: every product of the two is below 2**56, which
- * uint64_t holds. codec.py loads this file through ctypes; its Python loops
- * are the fallback and the reference the tests compare against.
+ * The loops of codec._encode_py and codec._decode_py, with the same results
+ * bit for bit: the Witten-Neal-Cleary 32-bit integer coder with pending-bit
+ * carries and an adaptive order-0 model (counts start at 1, grow by 32, and
+ * are all halved, floor 1, when the updated count reaches 2**16). Every count
+ * stays below 2**16 and the alphabet has at most 256 symbols, so a total is
+ * below 2**24, and a span is at most 2**32: every product of the two is below
+ * 2**56, which uint64_t holds. codec.py loads this file through ctypes; its
+ * Python loops are the fallback and the reference the tests compare against.
+ *
+ * One symbol dominates a real map: the clear symbol 2t, the alphabet's last,
+ * in a preprocessing map, and 0 in a binary boundary map. The two end symbols
+ * take exact shortcuts, since the model keeps total == sum(freq):
+ * - last symbol: cum + freq[s] == total, so the new high is
+ *   low + span * total / total - 1 == high, unchanged, and cum is
+ *   total - freq[s] without the sum; only low's division is left;
+ * - symbol 0: cum == 0, so low is unchanged; only high's division is left;
+ * - decoding, with x = (code - low + 1) * total - 1 and value = x / span,
+ *   value >= c holds exactly when x >= c * span, for integers x >= 0,
+ *   span >= 1 and c: x / span rounds down. So x >= (total - freq[last]) * span
+ *   picks the last symbol and x < freq[0] * span picks symbol 0, each by one
+ *   multiplication in place of the value division; the search for any other
+ *   symbol starts at 1.
  * A decode fails only when the stream runs out, since for any input
  * low <= code <= high before each symbol, from the start (low 0, high 2**32 - 1,
  * code 32 bits); then 1 <= code - low + 1 <= span puts value in [0, total - 1],
@@ -56,16 +70,23 @@ uint64_t bs_encode(const uint8_t *symbols, uint64_t n, int alphabet, uint8_t *ou
     uint32_t freq[256];
     uint64_t total, nbits = 0, pending = 0;
     uint32_t low = 0, high = 0xffffffffu;
+    int last = alphabet - 1;
     model_init(freq, &total, alphabet);
 #define PUT(b) do { if (b) out[nbits >> 3] |= (uint8_t)(0x80u >> (nbits & 7)); nbits++; } while (0)
     for (uint64_t i = 0; i < n; i++) {
         int s = symbols[i];
-        uint64_t cum = 0;
-        for (int j = 0; j < s; j++)
-            cum += freq[j];
         uint64_t span = (uint64_t)high - low + 1;
-        high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
-        low = (uint32_t)(low + span * cum / total);
+        if (s == last) {
+            low = (uint32_t)(low + span * (total - freq[s]) / total);
+        } else if (s == 0) {
+            high = (uint32_t)(low + span * freq[0] / total - 1);
+        } else {
+            uint64_t cum = 0;
+            for (int j = 0; j < s; j++)
+                cum += freq[j];
+            high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
+            low = (uint32_t)(low + span * cum / total);
+        }
         for (;;) {
             if (((low ^ high) & TOP_BIT) == 0) {
                 uint32_t bit = low >> 31;
@@ -101,20 +122,29 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
     uint64_t total, pos, end = bit_length + 32, cap = 0, n = 0;
     uint32_t low = 0, high = 0xffffffffu, code = 0;
     uint8_t *buf = NULL;
-    int status = BS_OK;
+    int status = BS_OK, last = alphabet - 1;
     model_init(freq, &total, alphabet);
 #define BIT(p) ((p) < bit_length ? (data[(p) >> 3] >> (7 - ((p) & 7))) & 1u : 0u)
     for (pos = 0; pos < 32; pos++)
         code = (code << 1) | BIT(pos);
     for (; n < count; n++) {
         uint64_t span = (uint64_t)high - low + 1;
-        uint64_t value = (((uint64_t)code - low + 1) * total - 1) / span;
-        int s = 0;
-        uint64_t cum = 0;
-        while (cum + freq[s] <= value)
-            cum += freq[s++];
-        high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
-        low = (uint32_t)(low + span * cum / total);
+        uint64_t x = ((uint64_t)code - low + 1) * total - 1;
+        int s;
+        if (x >= (total - freq[last]) * span) {
+            s = last;
+            low = (uint32_t)(low + span * (total - freq[last]) / total);
+        } else if (x < freq[0] * span) {
+            s = 0;
+            high = (uint32_t)(low + span * freq[0] / total - 1);
+        } else {
+            uint64_t value = x / span, cum = freq[0];
+            s = 1;
+            while (cum + freq[s] <= value)
+                cum += freq[s++];
+            high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);
+            low = (uint32_t)(low + span * cum / total);
+        }
         for (;;) {
             if (((low ^ high) & TOP_BIT) == 0) {
                 code <<= 1;

@@ -170,6 +170,23 @@ def test_restore_rejects_corrupt_side_file(tmp_path, capsys, corrupt, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shift", [1, 3])
+@pytest.mark.parametrize("edge", ["below", "above"])
+def test_restore_refuses_a_shifted_pixel_outside_the_range(tmp_path, capsys, shift, edge):
+    cover = tmp_path / "c.pgm"
+    save_pgm(cover, smooth_image(shift, 16, 16))
+    side = tmp_path / "side.lp"
+    assert main(["preprocess", str(cover), "--out", str(tmp_path / "s.pgm"), "--map", str(side),
+                 "--shift", str(shift), "--t-even", "3", "--t-odd", "3"]) == 0
+    shifted = load_pgm(tmp_path / "s.pgm")
+    shifted[0, 0] = shift - 1 if edge == "below" else 256 - shift
+    save_pgm(tmp_path / "s.pgm", shifted)
+    capsys.readouterr()
+    assert _restore(tmp_path, side) == 4
+    assert f"shifted image has pixels outside [{shift}, {255 - shift}]" in capsys.readouterr().err
+    assert not (tmp_path / "b.pgm").exists()
+
+
 @pytest.mark.parametrize("size", [9, 0xFFFFFFFF])
 def test_restore_rejects_map_of_another_size(tmp_path, capsys, size):
     side = _preprocess_8x8(tmp_path)

@@ -28,7 +28,9 @@ from boundshift import (
     serialize_map,
 )
 from boundshift import codec
-from boundshift.fixtures import _blobs, _pooled_field
+from boundshift.fixtures import _blobs, _dark, _pooled_field
+
+from conftest import smooth_image
 
 from test_formats import GOLDEN_BYTES, GOLDEN_MAP
 
@@ -53,7 +55,9 @@ def coder(request, monkeypatch):
 # Coded size and container digest of maps long enough for the model to halve
 # its counts (constant: 3 times; dark cover: 14 times), plus the widest
 # alphabet and a binary baseline map. GOLDEN_BYTES is too short to reach a
-# halving, so these pin the rest of the coder's arithmetic.
+# halving, so these pin the rest of the coder's arithmetic. The last two rows
+# are each dominated by an end symbol: the clear symbol 6 of a shift-3 map,
+# the last of its 7, and the 0 of an all-clear baseline map.
 PINNED_MAPS = [
     pytest.param(
         lambda: compress(LocationMap(np.full((64, 64), 2), 3)),
@@ -72,6 +76,14 @@ PINNED_MAPS = [
         lambda: compress_binary_baseline(_blobs(default_rng(6), 64, 64, 0.45), 1),
         4061, "2990af3d35b13fe46bd65864d9f8a8d36e37a93570321bcabebca0002ef8928d",
         id="baseline-blobs-64"),
+    pytest.param(
+        lambda: compress(forward(_dark(default_rng(13), 128, 128), PreprocessParams(3, 1, 4)).locmap),
+        6220, "c56d892f536bceb4d71170ec39efcb03991d09095cae2d276f4f446c208278c2",
+        id="dark-shift3-128"),
+    pytest.param(
+        lambda: compress_binary_baseline(smooth_image(21, 128, 128), 1),
+        2, "ecf1b2b30f0b72b989dbad01c0036d0e9997d47528f54217984332d17045ac48",
+        id="baseline-smooth-128"),
 ]
 
 
@@ -222,12 +234,47 @@ def test_oversized_declared_map_runs_out_of_stream():
         decompress(CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00"))
 
 
+def _edge_stream(alphabet, first, edge):
+    """(bit_length, data) of a stream whose first symbol is first and whose
+    second decodes from value == cum, the lower edge of symbol edge's
+    interval, exactly: (code - low + 1) * total - 1 == cum * span. The
+    first symbol's renormalization must only shift, never park a bit, so
+    that the next 32 bits are the second symbol's code."""
+    low, high = (2**32 * first) // alphabet, (2**32 * (first + 1)) // alphabet - 1
+    prefix = []
+    while ((low ^ high) >> 31) == 0:
+        prefix.append(low >> 31)
+        low, high = (low << 1) & 0xFFFFFFFF, ((high << 1) & 0xFFFFFFFF) | 1
+    assert not low & ~high & (1 << 30)
+    freq = [1] * alphabet
+    freq[first] += 32
+    total, span, cum = alphabet + 32, high - low + 1, sum(freq[:edge])
+    assert (cum * span + 1) % total == 0
+    code = (cum * span + 1) // total + low - 1
+    bits = prefix + [(code >> (31 - i)) & 1 for i in range(32)] + [0] * 32
+    return len(bits), np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
+
+
+# (alphabet, first, edge): the lower edge of the last symbol, of symbol 1
+# (the upper edge of symbol 0) and of a middle symbol, where the decoder's
+# end-symbol comparisons and its search must not be off by one
+@pytest.mark.parametrize("alphabet, first, edge", [(9, 1, 8), (185, 13, 184), (117, 15, 1), (7, 6, 5)])
+def test_a_value_on_an_interval_edge_decodes_to_the_upper_symbol(coder, alphabet, first, edge):
+    bit_length, data = _edge_stream(alphabet, first, edge)
+    out = decompress(CompressedMap(alphabet, 2, 1, bit_length, data))
+    assert out.symbols.tolist() == [[first, edge]]
+
+
 def _test_map(rng, kind, alphabet, h, w):
-    """A uniform, skewed (97% one symbol, like real maps) or constant map."""
+    """A uniform map, a constant one, or one 97% a single symbol: a random
+    one (skewed), the last (clear-last, like a preprocessing map) or 0
+    (clear-first, like a binary baseline map). The last two reach the
+    coders' end-symbol shortcuts on most symbols."""
     if kind == "uniform":
         return rng.integers(0, alphabet, (h, w))
-    symbols = np.full((h, w), rng.integers(0, alphabet))
-    if kind == "skewed":
+    fill = {"clear-last": alphabet - 1, "clear-first": 0}.get(kind)
+    symbols = np.full((h, w), rng.integers(0, alphabet) if fill is None else fill)
+    if kind != "constant":
         hits = rng.random((h, w)) < 0.03
         symbols[hits] = rng.integers(0, alphabet, int(hits.sum()))
     return symbols
@@ -235,7 +282,7 @@ def _test_map(rng, kind, alphabet, h, w):
 
 MAP_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
-    kind=st.sampled_from(["uniform", "skewed", "constant"]),
+    kind=st.sampled_from(["uniform", "skewed", "constant", "clear-last", "clear-first"]),
     alphabet=st.integers(2, 256),
     h=st.integers(1, 64),
     w=st.integers(1, 64),
@@ -336,7 +383,7 @@ def _damaged_corpus(rng, n):
     stream declaring more cells than it can hold."""
     maps, streams = [], [CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00")]
     for k in range(n):
-        kind = ("uniform", "skewed", "constant")[k % 3]
+        kind = ("uniform", "skewed", "constant", "clear-last", "clear-first")[k % 5]
         alphabet, h, w = int(rng.integers(2, 257)), int(rng.integers(1, 65)), int(rng.integers(1, 65))
         symbols = _test_map(rng, kind, alphabet, h, w).astype(np.uint8)
         bit_length, data = PYTHON_CODER[0](symbols.ravel(), alphabet)
@@ -393,6 +440,15 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]
     assert done.stderr == b""
     assert done.stdout.decode().split("\n")[:-1] == expected
+
+
+def test_kernel_compiles_without_warnings():
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    done = subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Wconversion", "-Werror",
+                           "-fsyntax-only", codec._KERNEL_SOURCE], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_kernel_source_ships_with_the_package():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,21 @@ def test_inverse_rejects_out_of_range_pixels():
     tampered = out.shifted.copy()
     tampered[0, 0] = 2   # below the interior range for shift 4
     with pytest.raises(CorruptionError):
+        inverse(tampered, out.locmap, params)
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+@pytest.mark.parametrize("edge", ["below", "above"])
+def test_inverse_refuses_one_level_outside_the_shifted_range(shift, edge):
+    # the first value past [shift, 255 - shift] on either side, in a clear cell
+    params = PreprocessParams(shift, 3, 3)
+    cover = default_rng(shift).integers(0, 256, (16, 16), dtype=np.int64).astype(np.uint8)
+    out = forward(cover, params)
+    tampered = out.shifted.copy()
+    i, j = map(int, np.argwhere(out.locmap.symbols == 2 * shift)[0])
+    tampered[i, j] = shift - 1 if edge == "below" else 256 - shift
+    message = f"shifted image has pixels outside [{shift}, {255 - shift}]"
+    with pytest.raises(CorruptionError, match=re.escape(message)):
         inverse(tampered, out.locmap, params)
 
 
