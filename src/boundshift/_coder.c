@@ -10,18 +10,21 @@
  * Python loops are the fallback and the reference the tests compare against.
  *
  * One symbol dominates a real map: the clear symbol 2t, the alphabet's last,
- * in a preprocessing map, and 0 in a binary boundary map. The two end symbols
- * take exact shortcuts, since the model keeps total == sum(freq):
- * - last symbol: cum + freq[s] == total, so the new high is
+ * in a preprocessing map, and 0 in a binary boundary map. The model keeps
+ * total == sum(freq), which gives exact shortcuts:
+ * - encoding the last symbol: cum + freq[s] == total, so the new high is
  *   low + span * total / total - 1 == high, unchanged, and cum is
  *   total - freq[s] without the sum; only low's division is left;
- * - symbol 0: cum == 0, so low is unchanged; only high's division is left;
+ * - encoding symbol 0: cum == 0, so low is unchanged; only high's division
+ *   is left;
  * - decoding, with x = (code - low + 1) * total - 1 and value = x / span,
  *   value >= c holds exactly when x >= c * span, for integers x >= 0,
  *   span >= 1 and c: x / span rounds down. So x >= (total - freq[last]) * span
- *   picks the last symbol and x < freq[0] * span picks symbol 0, each by one
- *   multiplication in place of the value division; the search for any other
- *   symbol starts at 1.
+ *   picks the last symbol by one multiplication in place of the value
+ *   division, and only low's division is left. Any other symbol is found by
+ *   the search from 0: only preprocessing maps are decoded, where symbol 0
+ *   (a 0 pixel stepped down by t, or a 255 pixel up) is rare, so a
+ *   symbol-0 test would cost the other symbols more than it saves.
  * A decode fails only when the stream runs out, since for any input
  * low <= code <= high before each symbol, from the start (low 0, high 2**32 - 1,
  * code 32 bits); then 1 <= code - low + 1 <= span puts value in [0, total - 1],
@@ -134,12 +137,9 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
         if (x >= (total - freq[last]) * span) {
             s = last;
             low = (uint32_t)(low + span * (total - freq[last]) / total);
-        } else if (x < freq[0] * span) {
-            s = 0;
-            high = (uint32_t)(low + span * freq[0] / total - 1);
         } else {
-            uint64_t value = x / span, cum = freq[0];
-            s = 1;
+            uint64_t value = x / span, cum = 0;
+            s = 0;
             while (cum + freq[s] <= value)
                 cum += freq[s++];
             high = (uint32_t)(low + span * (cum + freq[s]) / total - 1);

@@ -20,13 +20,13 @@ consumed in raster order. Everything is deterministic, so equal maps
 always produce byte-identical streams.
 
 _coder.c is the same two loops in C, with the same results bit for bit. It
-gives the alphabet's two end symbols, which dominate real maps (the clear
-symbol 2t is the last; a binary boundary map is mostly 0), exact shortcuts:
-the last symbol leaves high unchanged, since cum + freq[s] == total, and 0
-leaves low unchanged, since cum == 0, so each costs one division; the
-decoder recognises either by comparing (code - low + 1) * total - 1 with
-the symbol's interval edge times span, which tests value against that edge
-without dividing. On import it is compiled once per source CRC-32 into
+gives the symbols that dominate real maps exact shortcuts, each costing one
+division: encoding the last symbol (the clear symbol 2t) leaves high
+unchanged, since cum + freq[s] == total, and encoding 0 (most of a binary
+boundary map) leaves low unchanged, since cum == 0; the decoder recognises
+the last symbol by comparing (code - low + 1) * total - 1 with its interval
+edge times span, which tests value against that edge without dividing.
+On import it is compiled once per source CRC-32 into
 __pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).

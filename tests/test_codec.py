@@ -257,7 +257,7 @@ def _edge_stream(alphabet, first, edge):
 
 # (alphabet, first, edge): the lower edge of the last symbol, of symbol 1
 # (the upper edge of symbol 0) and of a middle symbol, where the decoder's
-# end-symbol comparisons and its search must not be off by one
+# last-symbol comparison and its search must not be off by one
 @pytest.mark.parametrize("alphabet, first, edge", [(9, 1, 8), (185, 13, 184), (117, 15, 1), (7, 6, 5)])
 def test_a_value_on_an_interval_edge_decodes_to_the_upper_symbol(coder, alphabet, first, edge):
     bit_length, data = _edge_stream(alphabet, first, edge)
@@ -269,7 +269,7 @@ def _test_map(rng, kind, alphabet, h, w):
     """A uniform map, a constant one, or one 97% a single symbol: a random
     one (skewed), the last (clear-last, like a preprocessing map) or 0
     (clear-first, like a binary baseline map). The last two reach the
-    coders' end-symbol shortcuts on most symbols."""
+    kernel's shortcuts on most symbols."""
     if kind == "uniform":
         return rng.integers(0, alphabet, (h, w))
     fill = {"clear-last": alphabet - 1, "clear-first": 0}.get(kind)
