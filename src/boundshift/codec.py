@@ -270,16 +270,27 @@ def compress(locmap):
     return CompressedMap(locmap.alphabet_size, width, height, bit_length, data)
 
 
-def decompress(cmap):
-    """Invert compress(); corrupted or truncated streams raise CorruptionError."""
+def decompress(cmap, shape=None):
+    """Invert compress(); corrupted or truncated streams raise CorruptionError.
+    shape is the (height, width) the caller expects, if given: a map that
+    declares another raises CorruptionError before any symbol is decoded,
+    since an adaptive coder can decode far more symbols than its stream has
+    bits."""
     if not isinstance(cmap, CompressedMap):
         raise ValidationError("expected a CompressedMap")
+    declared = (cmap.height, cmap.width)
+    if shape is not None:
+        if not isinstance(shape, tuple) or len(shape) != 2:
+            raise ValidationError(f"shape must be a (height, width) pair, got {shape!r}")
+        expected = (check_param("height", shape[0], 0, 2**32 - 1),
+                    check_param("width", shape[1], 0, 2**32 - 1))
+        if declared != expected:
+            raise CorruptionError(f"map shape {declared} does not match image shape {expected}")
     count = cmap.width * cmap.height
-    shape = (cmap.height, cmap.width)
     if count == 0:
-        return LocationMap(np.zeros(shape, dtype=np.uint8), cmap.alphabet_size)
+        return LocationMap(np.zeros(declared, dtype=np.uint8), cmap.alphabet_size)
     out = _decode(cmap.data, cmap.bit_length, count, cmap.alphabet_size)
-    return LocationMap(np.frombuffer(out, dtype=np.uint8).reshape(shape), cmap.alphabet_size)
+    return LocationMap(np.frombuffer(out, dtype=np.uint8).reshape(declared), cmap.alphabet_size)
 
 
 def compress_binary_baseline(img, shift):

@@ -47,17 +47,18 @@ class SweepRecord:
     """One threshold cell: boundary/map-size before and after, the reduction
     ratios (None when the cover has no boundary pixels), net rate, and the
     marked-image quality (None when the side information does not fit, NaN
-    when it fits but was not measured)."""
+    when it fits but was not measured). A cell a pick-only sweep pruned has
+    no coded map: its map_bits_after, r1, r_emb and psnr_db are None."""
 
     t_even: int
     t_odd: int
     boundary_before: int
     boundary_after: int
     map_bits_before: int
-    map_bits_after: int
+    map_bits_after: int | None
     r0: float | None
     r1: float | None
-    r_emb: float
+    r_emb: float | None
     psnr_db: float | None
     selected: bool = False
 
@@ -120,7 +121,7 @@ def extract_full(marked, legacy_v1=False):
             "version 1 frame: it carries no checksum, so it is decoded only on "
             "request (legacy_v1=True, extract --legacy-v1)"
         )
-    locmap = decompress(cmap)
+    locmap = decompress(cmap, a.shape)
     cover = inverse(shifted, locmap, params)
     check_frame(checksum, cover, payload)
     return payload, cover
@@ -154,36 +155,43 @@ class _SweepState:
     passes, the last coded map, reused while the map does not change, and
     what each distinct cell measured. A cell whose passes move the same
     cells as an earlier one (the same _ForwardCache.key) has the same
-    shifted image and map, so it reuses that cell's boundary count, coded
-    map and room. The state holds a fixed number of images, whatever the
-    grid size: the key cache holds no image. measure_psnr says whether a
-    cell that fits embeds a payload to measure its PSNR."""
+    shifted image and map, so it reuses that cell's boundary count and room
+    and, once coded, its map. The state holds a fixed number of images,
+    whatever the grid size: it keeps per key a few numbers and a coded map,
+    no image and no map's symbols, so a map coded after other cells ran
+    recomputes its forward output. measure_psnr says whether a cell that
+    fits embeds a payload to measure its PSNR."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
         self.stats = _cover_stats(a, shift)
         self.passes = _ForwardCache(a, shift)
         self.symbols = self.cmap = None
-        self.cells = {}
+        self.rooms = {}
+        self.maps = {}
         self.last = (None, None)
 
     def measure(self, params):
-        """(boundary count after, coded map, room) of a cell, evaluated once
-        per key."""
+        """(key, boundary count after, room) of a cell, evaluated once per
+        key."""
         key = self.passes.key(params)
-        if key not in self.cells:
-            out = self.output(params)
-            symbols = out.locmap.symbols
-            if self.symbols is None or not np.array_equal(symbols, self.symbols):
-                self.symbols, self.cmap = symbols, compress(out.locmap)
-            self.cells[key] = (boundary_count_after(out), self.cmap,
-                               _EMBEDDER.capacity(out.shifted))
-        return self.cells[key]
+        if key not in self.rooms:
+            out = self.output(params, key)
+            self.rooms[key] = (boundary_count_after(out), _EMBEDDER.capacity(out.shifted))
+        return (key, *self.rooms[key])
 
-    def output(self, params):
-        """The cell's forward output; the last one is kept for a run of cells
-        of one key."""
-        key = self.passes.key(params)
+    def coded(self, params, key):
+        """The coded map of a cell of this key, coded once per key."""
+        if key not in self.maps:
+            locmap = self.output(params, key).locmap
+            if self.symbols is None or not np.array_equal(locmap.symbols, self.symbols):
+                self.symbols, self.cmap = locmap.symbols, compress(locmap)
+            self.maps[key] = self.cmap
+        return self.maps[key]
+
+    def output(self, params, key):
+        """The forward output of a cell of this key; the last one is kept for
+        a run of cells of one key."""
         if self.last[0] != key:
             self.last = (key, self.passes.forward(params))
         return self.last[1]
@@ -200,7 +208,7 @@ def evaluate_cell(cover, params, state=None):
     if not isinstance(params, PreprocessParams):
         raise ValidationError("params must be a PreprocessParams")
     if state is None:
-        before_count, before_bits = _cover_stats(a, params.shift)
+        stats = _cover_stats(a, params.shift)
         out, cmap, room = _prepare(a, params)
         after_count = boundary_count_after(out)
     elif not isinstance(state, _SweepState):
@@ -209,8 +217,9 @@ def evaluate_cell(cover, params, state=None):
             a is not state.passes.cover and not np.array_equal(a, state.passes.cover)):
         raise ValidationError("state was built for another cover or shift width")
     else:
-        before_count, before_bits = state.stats
-        after_count, cmap, room = state.measure(params)
+        stats = state.stats
+        key, after_count, room = state.measure(params)
+        cmap = state.coded(params, key)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room < side_info:
@@ -219,10 +228,17 @@ def evaluate_cell(cover, params, state=None):
         quality = math.nan
     else:
         if state is not None:
-            out = state.output(params)
+            out = state.output(params, key)
         payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
         marked = _embed_frame(out, cmap, room, payload, params, a)
         quality = psnr(a, marked)
+    return _record(params, stats, after_count, cmap.bit_length, payload_room / a.size, quality)
+
+
+def _record(params, stats, after_count, map_bits, r_emb, quality):
+    """A cell's SweepRecord from the cover's stats and the cell's numbers;
+    map_bits is None for a cell whose map was not coded."""
+    before_count, before_bits = stats
     defined = before_count > 0
     return SweepRecord(
         t_even=params.t_even,
@@ -230,10 +246,10 @@ def evaluate_cell(cover, params, state=None):
         boundary_before=before_count,
         boundary_after=after_count,
         map_bits_before=before_bits,
-        map_bits_after=cmap.bit_length,
+        map_bits_after=map_bits,
         r0=100.0 * after_count / before_count if defined else None,
-        r1=100.0 * cmap.bit_length / before_bits if defined else None,
-        r_emb=payload_room / a.size,
+        r1=100.0 * map_bits / before_bits if defined and map_bits is not None else None,
+        r_emb=r_emb,
         psnr_db=quality,
     )
 
@@ -247,10 +263,14 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     move the same pixels share one evaluation (forward pass, coded map and
     capacity), which on a cover of saturated regions leaves a few of the
     grid's cells; among the others, a map equal to the last one coded is
-    not coded again. With measure_psnr=False no cell embeds: a cell that
-    fits reports psnr_db as NaN, and every other field, the selected cell
-    included, is the same; with it, each cell that fits embeds its own
-    seeded payload."""
+    not coded again. With measure_psnr, each cell that fits embeds its own
+    seeded payload.
+
+    measure_psnr=False only picks: no cell embeds, and only the maps that
+    can win are coded (_pick_only). The selected record, and every record
+    whose map was coded, is the full sweep's with psnr_db NaN where the
+    side information fits; a pruned record has map_bits_after, r1, r_emb
+    and psnr_db None."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     try:
@@ -274,10 +294,42 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     for v in thresholds:
         PreprocessParams(t, thresholds[0], v)
     state = _SweepState(a, t, measure_psnr)
-    records = []
-    for t_even in thresholds:
-        for t_odd in thresholds:
-            records.append(evaluate_cell(a, PreprocessParams(t, t_even, t_odd), state))
+    cells = [PreprocessParams(t, t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
+    if not measure_psnr:
+        return _pick_only(a, cells, state)
+    records = [evaluate_cell(a, params, state) for params in cells]
     # max returns the first of equal records, so ties go to the smallest pair
     max(records, key=lambda rec: rec.r_emb).selected = True
+    return records
+
+
+def _pick_only(a, cells, state):
+    """The records of a sweep that only picks. Every cell's room comes
+    first, in sweep order, with no map coded. Then the distinct keys are
+    visited in decreasing room, ties in sweep order, and a key's map is
+    coded only while its room less the header exceeds the best payload room
+    so far: a map codes to at least one bit, so a key at or below that can
+    neither beat the pick nor tie it. The pick is the first cell of the best
+    payload room in sweep order, or the grid's first cell when no cell has
+    a positive one, as max over the full records gives."""
+    measured = [state.measure(params) for params in cells]
+    first = {}
+    for i, (key, _, _) in enumerate(measured):
+        first.setdefault(key, i)
+    best, pick = 0, 0
+    # sorted is stable and first holds keys in sweep order
+    for i in sorted(first.values(), key=lambda i: -measured[i][2]):
+        key, _, room = measured[i]
+        if room - FRAME_HEADER_BITS <= best:
+            break
+        payload = room - FRAME_HEADER_BITS - state.coded(cells[i], key).bit_length
+        if payload > best or (payload == best and i < pick):
+            best, pick = payload, i
+    records = []
+    for i, (params, (key, after_count, _)) in enumerate(zip(cells, measured)):
+        if i == pick or key in state.maps:
+            records.append(evaluate_cell(a, params, state))
+        else:
+            records.append(_record(params, state.stats, after_count, None, None, None))
+    records[pick].selected = True
     return records

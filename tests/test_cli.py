@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from boundshift import embedder, load_pgm, pipeline, save_pgm
+from boundshift import PreprocessParams, embedder, load_pgm, pipeline, preprocess, save_pgm
 from boundshift.cli import _REPORT_FIELDS, main
+from boundshift.fixtures import _pooled_field
 
 from conftest import smooth_image
 
@@ -116,6 +117,21 @@ def test_embed_auto_embeds_only_the_chosen_cell(tmp_path, monkeypatch):
     _embed_auto(tmp_path)
     # the 16-cell sweep only picks; embed_full embeds the chosen cell
     assert calls == ["embed"]
+
+    # on a dark cover the sweep codes the maps of fewer keys than it
+    # measures; embed_full codes the chosen cell's map once more
+    calls.clear()
+    monkeypatch.setattr(pipeline, "compress", count("compress", pipeline.compress))
+    img = _pooled_field(default_rng(13), 32, 32, 40, 45)
+    save_pgm(tmp_path / "pooled.pgm", img)
+    rc = main(["embed", str(tmp_path / "pooled.pgm"), "--payload", str(tmp_path / "p.bin"),
+               "--out", str(tmp_path / "m2.pgm"), "--auto"])
+    assert rc == 0
+    assert calls.count("embed") == 1
+    passes = preprocess._ForwardCache(img, 1)
+    keys = {passes.key(PreprocessParams(1, t_even, t_odd))
+            for t_even in range(1, 17) for t_odd in range(1, 17)}
+    assert 0 < calls.count("compress") - 1 < len(keys)
 
 
 def test_preprocess_restore_round_trip(tmp_path, capsys):

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,42 @@ def test_oversized_declared_map_runs_out_of_stream():
     # stream runs out
     with pytest.raises(CorruptionError, match="exhausted"):
         decompress(CompressedMap(3, 2**32 - 1, 2**32 - 1, 8, b"\x00"))
+
+
+# A 4,111-byte container of zero bytes declaring (2**32 - 1)**2 symbols:
+# decoded without an expected shape, it runs 6 s on a 2-core Xeon (capped
+# at 1.5 GB of address space) before its stream runs out.
+_HUGE_CONTAINER = serialize_map(CompressedMap(3, 2**32 - 1, 2**32 - 1, 8 * 4096, bytes(4096)))
+
+
+@pytest.mark.parametrize("cmap, shape, error, message", [
+    (deserialize_map(_HUGE_CONTAINER), (8, 8), CorruptionError,
+     "map shape (4294967295, 4294967295) does not match image shape (8, 8)"),
+    # (height, width), not (width, height)
+    (CompressedMap(3, 2, 1, 8, b"\x00"), (2, 1), CorruptionError,
+     "map shape (1, 2) does not match image shape (2, 1)"),
+    (compress(GOLDEN_MAP), (2, 4), CorruptionError,
+     "map shape (2, 3) does not match image shape (2, 4)"),
+    (compress(GOLDEN_MAP), [2, 3], ValidationError, "shape must be a (height, width) pair, got [2, 3]"),
+    (compress(GOLDEN_MAP), (2,), ValidationError, "shape must be a (height, width) pair, got (2,)"),
+    (compress(GOLDEN_MAP), "xy", ValidationError, "shape must be a (height, width) pair, got 'xy'"),
+    (compress(GOLDEN_MAP), (2, -1), ValidationError, "width must be in [0, 4294967295], got -1"),
+    (compress(GOLDEN_MAP), (True, 3), ValidationError, "height must be an integer, got True"),
+], ids=["huge-declared", "transposed", "wider", "list", "one-number", "string", "negative",
+        "bool"])
+def test_decompress_refuses_a_shape_it_was_not_given(cmap, shape, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error) as exc:
+        decompress(cmap, shape)
+    assert str(exc.value) == message
+    assert time.perf_counter() - start < 1.0
+
+
+def test_decompress_decodes_the_shape_it_was_given():
+    for shape in ((2, 3), (np.int64(2), np.uint32(3))):
+        assert np.array_equal(decompress(compress(GOLDEN_MAP), shape).symbols, GOLDEN_MAP.symbols)
+    empty = compress(LocationMap(np.zeros((0, 5), np.uint8), 3))
+    assert decompress(empty, (0, 5)).symbols.shape == (0, 5)
 
 
 def _edge_stream(alphabet, first, edge):

@@ -1,6 +1,6 @@
 """Threshold sweep: pinned reports, a cell-by-cell differential test, also
-at the edges of the key that lets cells share an evaluation, its error
-paths, and counts of the work it does."""
+at the edges of the key that lets cells share an evaluation, the pick-only
+sweep's pruning, its error paths, and counts of the work it does."""
 
 import dataclasses
 import hashlib
@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from boundshift import ValidationError, forward, save_pgm, sweep
+from boundshift import PredictionErrorEmbedder, ValidationError, forward, save_pgm, sweep
 from boundshift import embedder, pipeline, preprocess
 from boundshift.cli import main
+from boundshift.formats import FRAME_HEADER_BITS
 from boundshift.fixtures import _blobs, _pooled_field
 from boundshift.preprocess import PreprocessParams
 
@@ -114,6 +115,46 @@ def _covers(draw):
     return rng.choice(np.array([0, 1, 2, 3, 128, 252, 253, 254, 255], dtype=np.uint8), (h, w))
 
 
+@st.composite
+def _fitting_covers(draw):
+    """Blobs or pooled covers large enough that many cells fit a frame."""
+    h = draw(st.integers(32, 64))
+    w = draw(st.integers(32, 64))
+    rng = default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        return _blobs(rng, h, w, 0.2)
+    return _pooled_field(rng, h, w, 40, 45)
+
+
+def _room(cover, params):
+    return PredictionErrorEmbedder().capacity(forward(cover, params).shifted)
+
+
+def _check_pick_only(cover, t_range, shift, expected):
+    """The pick-only sweep against the full sweep's records: the same
+    selected record and every coded record alike but for PSNR (NaN where
+    the oracle has a value); a pruned record has no map bits, r1, r_emb or
+    PSNR, and its room less the header cannot beat the pick's payload."""
+    picked = sweep(cover, t_range, shift, measure_psnr=False)
+    assert len(picked) == len(expected)
+    assert [rec.selected for rec in picked] == [want.selected for want in expected]
+    [chosen] = [want for want in expected if want.selected]
+    best = round(chosen.r_emb * cover.size)
+    for rec, want in zip(picked, expected):
+        if rec.map_bits_after is None:
+            unknown = dict(map_bits_after=None, r1=None, r_emb=None, psnr_db=None)
+            assert rec == dataclasses.replace(want, **unknown)
+            params = PreprocessParams(shift, rec.t_even, rec.t_odd)
+            assert _room(cover, params) - FRAME_HEADER_BITS <= best
+            continue
+        if want.psnr_db is None:
+            assert rec.psnr_db is None
+        else:
+            assert isinstance(rec.psnr_db, float) and math.isnan(rec.psnr_db)
+        assert dataclasses.replace(rec, psnr_db=want.psnr_db) == want
+    return picked
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cover=_covers(),
@@ -124,16 +165,62 @@ def test_sweep_matches_the_cell_by_cell_oracle(cover, t_range, shift):
     # t_range comes unsorted and with repeats; the sweep sorts and dedups it
     expected = oracle_sweep(cover, t_range, shift)
     assert sweep(cover, t_range, shift) == expected
-    # the pick-only sweep measures no PSNR: NaN where the oracle has a
-    # value, None where the side information does not fit, the rest equal
-    picked = sweep(cover, t_range, shift, measure_psnr=False)
-    assert len(picked) == len(expected)
-    for rec, want in zip(picked, expected):
-        if want.psnr_db is None:
-            assert rec.psnr_db is None
-        else:
-            assert isinstance(rec.psnr_db, float) and math.isnan(rec.psnr_db)
-        assert dataclasses.replace(rec, psnr_db=want.psnr_db) == want
+    # the pick-only sweep measures no PSNR and codes only maps that can win
+    _check_pick_only(cover, t_range, shift, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cover=st.one_of(_covers(), _fitting_covers()),
+    t_range=st.lists(st.integers(1, 24), min_size=1, max_size=6),
+    shift=st.integers(1, 3),
+)
+def test_pick_only_sweep_selects_the_full_sweeps_record(cover, t_range, shift):
+    [want] = [rec for rec in sweep(cover, t_range, shift) if rec.selected]
+    [got] = [rec for rec in sweep(cover, t_range, shift, measure_psnr=False) if rec.selected]
+    if want.psnr_db is not None:
+        assert math.isnan(got.psnr_db)
+    assert dataclasses.replace(got, psnr_db=want.psnr_db) == want
+
+
+def test_pick_only_sweep_picks_the_first_cell_when_nothing_fits():
+    # the last cover's frame fills some cells' room exactly: it fits, but
+    # leaves no payload room, and the first cell's does not fit
+    exact = _pooled_field(default_rng(17), 20, 20, 40, 45)
+    for cover in [SWEEP_COVERS[name] for name in ("dark_2x2", "dark_2x9", "dark_3x17")] + [exact]:
+        records = sweep(cover, range(1, 17), 1)
+        assert all(rec.r_emb == 0 for rec in records)
+        picked = _check_pick_only(cover, range(1, 17), 1, records)
+        assert picked[0].selected and picked[0].map_bits_after is not None
+    assert records[0].psnr_db is None
+    assert any(rec.psnr_db is not None for rec in records)
+
+
+def test_pick_only_sweep_codes_no_map_that_cannot_win(monkeypatch):
+    coded = []
+    compress = pipeline.compress
+
+    def counted(locmap):
+        coded.append(locmap.symbols)
+        return compress(locmap)
+
+    monkeypatch.setattr(pipeline, "compress", counted)
+    cover = SWEEP_COVERS["dark_32x32"]
+    records = sweep(cover, range(1, 17), 1, measure_psnr=False)
+    monkeypatch.undo()
+    [chosen] = [rec for rec in records if rec.selected]
+    best = round(chosen.r_emb * cover.size)
+    assert best > 0
+    # the room of each cell whose map is the one coded
+    rooms = {}
+    for rec in records:
+        out = forward(cover, PreprocessParams(1, rec.t_even, rec.t_odd))
+        room = PredictionErrorEmbedder().capacity(out.shifted)
+        key = out.locmap.symbols.tobytes()
+        rooms[key] = max(rooms.get(key, 0), room)
+    assert 0 < len(coded) < len(rooms)
+    for symbols in coded:
+        assert rooms[symbols.tobytes()] - FRAME_HEADER_BITS > best
 
 
 def _cover(shape):
@@ -217,16 +304,18 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     monkeypatch.setattr(pipeline, "compress", count(coded, pipeline.compress))
 
     cover = _pooled_field(default_rng(12), 32, 32, 40, 45)
-    codings = []
+    codings = {}
     for measure_psnr in (True, False):
         predictions.clear()
         coded.clear()
         records = sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
         assert len(records) == 256
         # the cover once, each even pass once, then each cell's capacity;
-        # a cell's embed, if it makes one, reuses its capacity's errors
-        assert len(predictions) <= 1 + 16 + 256
-        codings.append(list(coded))
+        # a cell's embed, if it makes one, reuses its capacity's errors; a
+        # pick-only sweep predicts again at most the even pass of each map
+        # it codes
+        assert len(predictions) <= 1 + 16 + 256 + (0 if measure_psnr else len(coded))
+        codings[measure_psnr] = list(coded)
 
     monkeypatch.undo()
     maps = [forward(cover, PreprocessParams(1, rec.t_even, rec.t_odd)).locmap.symbols
@@ -234,9 +323,18 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     # each map that differs from the previous cell's, in sweep order
     changed = [m for k, m in enumerate(maps) if k == 0 or not np.array_equal(m, maps[k - 1])]
     assert 1 < len(changed) < len(maps)
-    for coded in codings:
-        assert len(coded) == len(changed)
-        assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
+    coded = codings[True]
+    assert len(coded) == len(changed)
+    assert all(np.array_equal(locmap.symbols, m) for locmap, m in zip(coded, changed))
+    # the pick-only sweep codes fewer maps, at most one per key of the
+    # records it reports as coded, and each the map of such a record
+    picked = [locmap.symbols for locmap in codings[False]]
+    assert 0 < len(picked) < len(changed)
+    passes = preprocess._ForwardCache(cover, 1)
+    reported = [(passes.key(PreprocessParams(1, rec.t_even, rec.t_odd)), m.tobytes())
+                for m, rec in zip(maps, records) if rec.map_bits_after is not None]
+    assert len(picked) <= len({key for key, _ in reported})
+    assert {m.tobytes() for m in picked} <= {m for _, m in reported}
 
 
 def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fresh_embedder):
@@ -268,6 +366,7 @@ def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fre
 @pytest.mark.parametrize("measure_psnr", [True, False])
 def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, measure_psnr):
     counts = {"odd passes": 0, "capacity": 0}
+    coded = []
     apply_pass = preprocess._apply_pass
 
     def counted_pass(grid, pred, parity, *args):
@@ -275,6 +374,8 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
         return apply_pass(grid, pred, parity, *args)
 
     monkeypatch.setattr(preprocess, "_apply_pass", counted_pass)
+    compress = pipeline.compress
+    monkeypatch.setattr(pipeline, "compress", lambda locmap: coded.append(1) or compress(locmap))
 
     def run(cover):
         embedder_ = fresh_embedder()
@@ -286,6 +387,7 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
 
         monkeypatch.setattr(embedder_, "capacity", counted_capacity)
         counts.update(dict.fromkeys(counts, 0))
+        coded.clear()
         return sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
 
     # no threshold up to 16 moves a pixel: one cell, evaluated once
@@ -303,7 +405,13 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
             out = forward(cover, PreprocessParams(1, t_even, t_odd))
             distinct.add((out.shifted.tobytes(), out.locmap.symbols.tobytes()))
     assert 1 < len(distinct) < 256
-    assert counts == {"odd passes": len(distinct), "capacity": len(distinct)}
+    if measure_psnr:
+        assert counts == {"odd passes": len(distinct), "capacity": len(distinct)}
+    else:
+        # each distinct cell measured once, then at most one more odd pass
+        # for each map the pick codes
+        assert counts["capacity"] == len(distinct)
+        assert len(distinct) <= counts["odd passes"] <= len(distinct) + len(coded)
 
 
 def _pools_with_seams(n=16):
@@ -355,8 +463,7 @@ def test_sweep_matches_the_oracle_at_the_key_edges(name):
         assert min(p.min() for p in preds) < 0 and max(p.max() for p in preds) > 255
     expected = oracle_sweep(cover, thresholds, shift)
     assert sweep(cover, thresholds, shift) == expected
-    for rec, want in zip(sweep(cover, thresholds, shift, measure_psnr=False), expected):
-        assert dataclasses.replace(rec, psnr_db=want.psnr_db) == want
+    _check_pick_only(cover, thresholds, shift, expected)
     # a key names a cell's output in any order, not only the sweep's
     state = pipeline._SweepState(cover, shift)
     for k in default_rng(33).permutation(len(expected)):
