@@ -30,9 +30,14 @@ On import it is compiled once per source CRC-32 into
 __pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).
+
+_bit_length_floor bounds a map's coded length from below without coding
+it, from the model alone; the pick-only sweep skips the maps it rules out.
 """
 
 import ctypes
+import itertools
+import math
 import os
 import tempfile
 import zlib
@@ -268,6 +273,49 @@ def compress(locmap):
         return CompressedMap(locmap.alphabet_size, width, height, 0, b"")
     bit_length, data = _encode(symbols.ravel(), locmap.alphabet_size)
     return CompressedMap(locmap.alphabet_size, width, height, bit_length, data)
+
+
+# While no count but the last symbol's reaches the cap, the last symbol's
+# count is 1 + 32c after c of them and at least 2**15 from the first halving
+# on, so it is at least 2**15 once _LATE of them are coded.
+_LATE = -(-(_MODEL_CAP // 2 - 1) // _MODEL_INCREMENT)
+_MARKED_MAX = _MODEL_CAP // _MODEL_INCREMENT
+# _MARKED_BITS[k]: the sum over j < k of log2(1 + 2**15 / (1 + 32j)); in
+# Python, since NumPy's log2 would page in 0.4 MiB of its code
+_MARKED_BITS = [0.0, *itertools.accumulate(
+    math.log2(1 + (_MODEL_CAP // 2) / (1 + _MODEL_INCREMENT * j)) for j in range(_MARKED_MAX))]
+
+
+def _bit_length_floor(locmap):
+    """A lower bound on compress(locmap).bit_length, from the count m of
+    symbols other than the last (the clear symbol 2t of a preprocessing
+    map) and how many of them lie late in raster order; it costs no coding.
+
+    For m < 2048 no other symbol occurs 2048 times, so only the last
+    symbol's count reaches the cap, and another symbol's count is at most
+    1 + 32j at the j-th symbol other than the last. A late one, at or past
+    position _LATE + m, has at least _LATE last symbols before it, so its
+    probability is at most (1 + 32j) / (2**15 + 1 + 32j). The late ones
+    are the last of the m: their information is at least
+    _MARKED_BITS[m] - _MARKED_BITS[m - late], the others' at least 0.
+    The coder's span exceeds 2**30 before each symbol and narrows to less
+    than span * p + 1; each renormalization doubles it and adds one bit.
+    So the length exceeds the information less 1 and less the sum of
+    log2(1 + total / (count * span)). total / count is at most A + 32m at
+    a last symbol and 2**16 + A + 32m at another, so that sum is below
+    (n * (A + 32m) + m * 2**16) / 2**29 for n symbols of alphabet A. The
+    bound rounds down one bit more, so float rounding cannot break it."""
+    symbols = locmap.symbols.ravel()
+    n, alphabet = symbols.size, locmap.alphabet_size
+    marked = symbols != alphabet - 1
+    m = int(np.count_nonzero(marked))
+    if m == 0 or m >= _MARKED_MAX:
+        # a non-empty map ends in a 1 bit
+        return min(1, n)
+    late = int(np.count_nonzero(marked[_LATE + m:]))
+    info = _MARKED_BITS[m] - _MARKED_BITS[m - late]
+    slack = (n * (alphabet + _MODEL_INCREMENT * m) + m * _MODEL_CAP) / 2**29
+    return max(1, math.floor(info - slack) - 1)
 
 
 def decompress(cmap, shape=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import compress, compress_binary_baseline, decompress
+from .codec import _bit_length_floor, compress, compress_binary_baseline, decompress
 from .embedder import PredictionErrorEmbedder
 from .errors import CapacityError, CorruptionError, ValidationError
 from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
@@ -160,7 +160,8 @@ class _SweepState:
     whatever the grid size: it keeps per key a few numbers and a coded map,
     no image and no map's symbols, so a map coded after other cells ran
     recomputes its forward output. measure_psnr says whether a cell that
-    fits embeds a payload to measure its PSNR."""
+    fits embeds a payload to measure its PSNR; a state without it, which
+    only picks, also keeps per key a floor on its map's bits."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
@@ -168,6 +169,7 @@ class _SweepState:
         self.passes = _ForwardCache(a, shift)
         self.symbols = self.cmap = None
         self.rooms = {}
+        self.floors = {}
         self.maps = {}
         self.last = (None, None)
 
@@ -178,6 +180,8 @@ class _SweepState:
         if key not in self.rooms:
             out = self.output(params, key)
             self.rooms[key] = (boundary_count_after(out), _EMBEDDER.capacity(out.shifted))
+            if not self.measure_psnr:
+                self.floors[key] = _bit_length_floor(out.locmap)
         return (key, *self.rooms[key])
 
     def coded(self, params, key):
@@ -304,24 +308,28 @@ def sweep(cover, t_range, shift, measure_psnr=True):
 
 
 def _pick_only(a, cells, state):
-    """The records of a sweep that only picks. Every cell's room comes
-    first, in sweep order, with no map coded. Then the distinct keys are
-    visited in decreasing room, ties in sweep order, and a key's map is
-    coded only while its room less the header exceeds the best payload room
-    so far: a map codes to at least one bit, so a key at or below that can
-    neither beat the pick nor tie it. The pick is the first cell of the best
+    """The records of a sweep that only picks. Every cell's room and a floor
+    on its map's bits (codec._bit_length_floor) come first, in sweep order,
+    with no map coded. A key's payload room is then at most its room less
+    the header and that floor. The distinct keys are visited in decreasing
+    such bound, ties in sweep order, and a key's map is coded only while
+    its bound can beat the best payload room so far, or tie it from an
+    earlier cell than the pick's. The pick is the first cell of the best
     payload room in sweep order, or the grid's first cell when no cell has
     a positive one, as max over the full records gives."""
     measured = [state.measure(params) for params in cells]
     first = {}
     for i, (key, _, _) in enumerate(measured):
         first.setdefault(key, i)
+    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]
+            for i in first.values()}
     best, pick = 0, 0
-    # sorted is stable and first holds keys in sweep order
-    for i in sorted(first.values(), key=lambda i: -measured[i][2]):
-        key, _, room = measured[i]
-        if room - FRAME_HEADER_BITS <= best:
+    # sorted is stable and most holds the keys' first cells in sweep order,
+    # so a key that cannot win is followed only by keys that cannot either
+    for i in sorted(most, key=lambda i: -most[i]):
+        if most[i] < best or (most[i] == best and i >= pick):
             break
+        key, _, room = measured[i]
         payload = room - FRAME_HEADER_BITS - state.coded(cells[i], key).bit_length
         if payload > best or (payload == best and i < pick):
             best, pick = payload, i

@@ -46,11 +46,45 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     # the pick-only sweep
-    Mutant("pick-prunes-at-the-bound", "src/boundshift/pipeline.py",
-           "        if room - FRAME_HEADER_BITS <= best:",
-           "        if room - FRAME_HEADER_BITS < best:",
-           "a key whose room less the header is at or below the best payload room "
-           "is not coded: its map codes to at least one bit, so it cannot tie"),
+    Mutant("pick-codes-below-the-bound", "src/boundshift/pipeline.py",
+           "        if most[i] < best or (most[i] == best and i >= pick):",
+           "        if most[i] < best - 1 or (most[i] == best and i >= pick):",
+           "a key whose room less the header and its map's floor is below the best "
+           "payload room is not coded: it can neither beat the pick nor tie it"),
+    Mutant("pick-codes-later-ties", "src/boundshift/pipeline.py",
+           "        if most[i] < best or (most[i] == best and i >= pick):",
+           "        if most[i] < best:",
+           "a key whose bound only ties the best payload room from a cell after the "
+           "pick's is not coded: it cannot win the tie"),
+    Mutant("pick-skips-earlier-ties", "src/boundshift/pipeline.py",
+           "        if most[i] < best or (most[i] == best and i >= pick):",
+           "        if most[i] <= best:",
+           "a key whose bound ties the best payload room from a cell before the "
+           "pick's is coded: it could win the tie"),
+    Mutant("pick-ignores-the-floor", "src/boundshift/pipeline.py",
+           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]",
+           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - 1",
+           "a key is bounded by its map's floor, not by one bit: a dark 96x96 cover "
+           "codes fewer maps than room alone would"),
+    Mutant("pick-trusts-twice-the-floor", "src/boundshift/pipeline.py",
+           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]",
+           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - 2 * state.floors[measured[i][0]]",
+           "a key is pruned only when its room less the header and its map's floor "
+           "cannot beat the pick"),
+    # the floor on a map's coded length
+    Mutant("floor-rounds-up", "src/boundshift/codec.py",
+           "    return max(1, math.floor(info - slack) - 1)",
+           "    return max(1, math.floor(info - slack) + 1)",
+           "the floor is at most the coded length, with a bit to spare for float rounding"),
+    Mutant("floor-counts-early-symbols", "src/boundshift/codec.py",
+           "    late = int(np.count_nonzero(marked[_LATE + m:]))",
+           "    late = int(np.count_nonzero(marked[_LATE:]))",
+           "only a symbol with at least 1024 clear ones before it is bounded"),
+    Mutant("floor-past-the-cap", "src/boundshift/codec.py",
+           "    if m == 0 or m >= _MARKED_MAX:",
+           "    if m == 0 or m > _MARKED_MAX:",
+           "with 2048 or more other symbols a count besides the clear one's may halve "
+           "the model, and no floor above one bit is given"),
     Mutant("pick-ties-to-the-last-cell", "src/boundshift/pipeline.py",
            "        if payload > best or (payload == best and i < pick):",
            "        if payload > best or (payload == best and i > pick):",

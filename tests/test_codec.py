@@ -302,6 +302,57 @@ def test_a_value_on_an_interval_edge_decodes_to_the_upper_symbol(coder, alphabet
     assert out.symbols.tolist() == [[first, edge]]
 
 
+def _sparse_map(h, w, alphabet, positions, values):
+    """A map of the last (clear) symbol but for values at flat positions."""
+    symbols = np.full(h * w, alphabet - 1, dtype=np.uint8)
+    symbols[positions] = values
+    return LocationMap(symbols.reshape(h, w), alphabet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    place=st.sampled_from(["random", "late", "early", "cover"]),
+    alphabet=st.sampled_from([2, 3, 5, 7, 255]),
+    h=st.integers(2, 140),
+    w=st.integers(2, 140),
+    marked=st.one_of(st.integers(0, 60), st.integers(2000, 2100)),
+)
+def test_bit_length_floor_never_exceeds_the_coded_length(seed, place, alphabet, h, w, marked):
+    rng = default_rng(seed)
+    n = h * w
+    m = min(marked, n)
+    if place == "cover":
+        # a preprocessing map, which the pick-only sweep bounds
+        shift = (alphabet - 1) // 2 if alphabet % 2 else 1
+        params = PreprocessParams(shift, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        locmap = forward(_pooled_field(rng, h, w, 40, 45), params).locmap
+    else:
+        positions = {"random": rng.choice(n, m, replace=False),
+                     "late": np.arange(n - m, n), "early": np.arange(m)}[place]
+        values = rng.integers(0, alphabet - 1, m) if rng.random() < 0.5 else 0
+        locmap = _sparse_map(h, w, alphabet, positions, values)
+    assert 1 <= codec._bit_length_floor(locmap) <= compress(locmap).bit_length
+
+
+@pytest.mark.parametrize("marked, floor, bit_length", [
+    (0, 1, 4), (1, 13, 19), (2, 23, 30), (5, 49, 59), (20, 147, 172), (2047, 2825, 2834),
+    # with 2048 a count other than the clear symbol's can reach the cap
+    (2048, 1, 2833),
+])
+def test_bit_length_floor_of_late_marked_symbols(marked, floor, bit_length):
+    locmap = _sparse_map(128, 128, 3, np.arange(128 * 128 - marked, 128 * 128), 0)
+    assert codec._bit_length_floor(locmap) == floor
+    assert compress(locmap).bit_length == bit_length
+
+
+def test_bit_length_floor_bounds_only_late_marked_symbols():
+    # a marked symbol with fewer than 1024 clear ones before it may be cheap
+    assert codec._bit_length_floor(_sparse_map(128, 128, 3, np.arange(1025), 0)) == 1
+    assert codec._bit_length_floor(_sparse_map(128, 128, 3, [1024], 0)) == 1
+    assert codec._bit_length_floor(_sparse_map(128, 128, 3, [1025], 0)) == 13
+    assert codec._bit_length_floor(LocationMap(np.zeros((0, 0), dtype=np.uint8), 3)) == 0
+
 def _test_map(rng, kind, alphabet, h, w):
     """A uniform map, a constant one, or one 97% a single symbol: a random
     one (skewed), the last (clear-last, like a preprocessing map) or 0

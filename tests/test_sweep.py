@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from boundshift import PredictionErrorEmbedder, ValidationError, forward, save_pgm, sweep
+from boundshift import (
+    LocationMap, PredictionErrorEmbedder, ValidationError, forward, save_pgm, sweep,
+)
 from boundshift import embedder, pipeline, preprocess
 from boundshift.cli import main
+from boundshift.codec import _bit_length_floor
 from boundshift.formats import FRAME_HEADER_BITS
 from boundshift.fixtures import _blobs, _pooled_field
 from boundshift.preprocess import PreprocessParams
@@ -126,26 +129,33 @@ def _fitting_covers(draw):
     return _pooled_field(rng, h, w, 40, 45)
 
 
-def _room(cover, params):
-    return PredictionErrorEmbedder().capacity(forward(cover, params).shifted)
+def _most(cover, params):
+    """A cell's room less the header and the floor on its map's bits: the
+    most payload room the pick-only sweep grants it uncoded."""
+    out = forward(cover, params)
+    room = PredictionErrorEmbedder().capacity(out.shifted)
+    return room - FRAME_HEADER_BITS - _bit_length_floor(out.locmap)
 
 
 def _check_pick_only(cover, t_range, shift, expected):
     """The pick-only sweep against the full sweep's records: the same
     selected record and every coded record alike but for PSNR (NaN where
     the oracle has a value); a pruned record has no map bits, r1, r_emb or
-    PSNR, and its room less the header cannot beat the pick's payload."""
+    PSNR, its room less the header and its map's floor is at or below the
+    pick's payload room, and its oracle payload room is below the pick's or
+    ties it from a later cell."""
     picked = sweep(cover, t_range, shift, measure_psnr=False)
     assert len(picked) == len(expected)
     assert [rec.selected for rec in picked] == [want.selected for want in expected]
-    [chosen] = [want for want in expected if want.selected]
-    best = round(chosen.r_emb * cover.size)
-    for rec, want in zip(picked, expected):
+    [pick] = [i for i, want in enumerate(expected) if want.selected]
+    best = round(expected[pick].r_emb * cover.size)
+    for i, (rec, want) in enumerate(zip(picked, expected)):
         if rec.map_bits_after is None:
             unknown = dict(map_bits_after=None, r1=None, r_emb=None, psnr_db=None)
             assert rec == dataclasses.replace(want, **unknown)
-            params = PreprocessParams(shift, rec.t_even, rec.t_odd)
-            assert _room(cover, params) - FRAME_HEADER_BITS <= best
+            assert _most(cover, PreprocessParams(shift, rec.t_even, rec.t_odd)) <= best
+            payload = round(want.r_emb * cover.size)
+            assert payload < best or (payload == best and i > pick)
             continue
         if want.psnr_db is None:
             assert rec.psnr_db is None
@@ -196,7 +206,51 @@ def test_pick_only_sweep_picks_the_first_cell_when_nothing_fits():
     assert any(rec.psnr_db is not None for rec in records)
 
 
-def test_pick_only_sweep_codes_no_map_that_cannot_win(monkeypatch):
+# Dark 32x32 covers with keys whose room less the header and the map's
+# floor (their bound) sits at the pick's payload room, from cells before and
+# after the pick's, and one whose keys of a bound one bit below it are not
+# cut off by such a tie after the pick.
+BOUND_COVERS = {"dark_32x32": SWEEP_COVERS["dark_32x32"],
+                "seed_2": _pooled_field(default_rng(2), 32, 32, 40, 45)}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_COVERS))
+def test_pick_only_sweep_codes_exactly_the_maps_that_can_win(monkeypatch, name):
+    cover = BOUND_COVERS[name]
+    coded = []
+    compress = pipeline.compress
+
+    def counted(locmap):
+        coded.append(locmap.symbols.tobytes())
+        return compress(locmap)
+
+    monkeypatch.setattr(pipeline, "compress", counted)
+    records = sweep(cover, range(1, 17), 1, measure_psnr=False)
+    monkeypatch.undo()
+    [pick] = [i for i, rec in enumerate(records) if rec.selected]
+    best = round(records[pick].r_emb * cover.size)
+    assert best > 0
+    # per distinct (shifted image, map): its first cell and its bound
+    keys, first = [], {}
+    for i, rec in enumerate(records):
+        params = PreprocessParams(1, rec.t_even, rec.t_odd)
+        out = forward(cover, params)
+        keys.append((out.shifted.tobytes(), out.locmap.symbols.tobytes()))
+        first.setdefault(keys[-1], (i, _most(cover, params)))
+    can_win = {key for key, (i, most) in first.items()
+               if most > best or (most == best and i < pick)}
+    assert 0 < len(can_win) < len(first)
+    # many keys share a map (all clear, say), so the records tell which
+    # keys were coded, and the coded maps only which maps
+    assert [rec.map_bits_after is not None for rec in records] == [key in can_win for key in keys]
+    assert set(coded) == {key[1] for key in can_win}
+
+
+def test_pick_only_sweep_skips_maps_their_floor_rules_out(monkeypatch):
+    # no symbol of a 32x32 map has 1024 clear ones before it, so its floor
+    # is one bit; at 96x96 the floor rules out maps that room alone would not
+    cover = _pooled_field(default_rng(1), 96, 96, 40, 45)
+    expected = sweep(cover, range(1, 17), 1)
     coded = []
     compress = pipeline.compress
 
@@ -205,23 +259,14 @@ def test_pick_only_sweep_codes_no_map_that_cannot_win(monkeypatch):
         return compress(locmap)
 
     monkeypatch.setattr(pipeline, "compress", counted)
-    cover = SWEEP_COVERS["dark_32x32"]
-    records = sweep(cover, range(1, 17), 1, measure_psnr=False)
+    _check_pick_only(cover, range(1, 17), 1, expected)
     monkeypatch.undo()
-    [chosen] = [rec for rec in records if rec.selected]
+    [chosen] = [rec for rec in expected if rec.selected]
     best = round(chosen.r_emb * cover.size)
-    assert best > 0
-    # the room of each cell whose map is the one coded
-    rooms = {}
-    for rec in records:
-        out = forward(cover, PreprocessParams(1, rec.t_even, rec.t_odd))
-        room = PredictionErrorEmbedder().capacity(out.shifted)
-        key = out.locmap.symbols.tobytes()
-        rooms[key] = max(rooms.get(key, 0), room)
-    assert 0 < len(coded) < len(rooms)
-    for symbols in coded:
-        assert rooms[symbols.tobytes()] - FRAME_HEADER_BITS > best
-
+    outs = [forward(cover, PreprocessParams(1, rec.t_even, rec.t_odd)) for rec in expected]
+    room_alone = {out.locmap.symbols.tobytes() for out in outs
+                  if PredictionErrorEmbedder().capacity(out.shifted) - FRAME_HEADER_BITS > best}
+    assert 0 < len(coded) < len(room_alone)
 
 def _cover(shape):
     return _pooled_field(default_rng(8), *shape, 40, 45)
