@@ -8,6 +8,7 @@ sweep), gen-fixtures (deterministic synthetic corpus). Exit codes: 0 ok,
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -234,7 +235,10 @@ def _add_params(p, required=True):
                    help="threshold for the odd checkerboard pass")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it as
+    it was, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="boundshift",
         description="Reversible data embedding for images full of boundary pixels.",

@@ -32,7 +32,8 @@ compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).
 
 _bit_length_floor bounds a map's coded length from below without coding
-it, from the model alone; the pick-only sweep skips the maps it rules out.
+it, from the model alone (_floor_bits); the pick-only sweep skips the maps
+it rules out, and bounds the maps of one even pass at once (_floors).
 """
 
 import ctypes
@@ -289,33 +290,66 @@ _MARKED_BITS = [0.0, *itertools.accumulate(
 def _bit_length_floor(locmap):
     """A lower bound on compress(locmap).bit_length, from the count m of
     symbols other than the last (the clear symbol 2t of a preprocessing
-    map) and how many of them lie late in raster order; it costs no coding.
+    map) and how many of them lie late in raster order, at or past position
+    _LATE + m (_floor_bits); it costs no coding."""
+    symbols = locmap.symbols.ravel()
+    marked = symbols != locmap.alphabet_size - 1
+    m = int(np.count_nonzero(marked))
+    late = int(np.count_nonzero(marked[_LATE + m:]))
+    return _floor_bits(symbols.size, locmap.alphabet_size, m, late)
+
+
+def _floor_bits(n, alphabet, m, late):
+    """The floor on the coded length of a map of n symbols of the alphabet,
+    m of them other than the last, late of those at or past position
+    _LATE + m.
 
     For m < 2048 no other symbol occurs 2048 times, so only the last
     symbol's count reaches the cap, and another symbol's count is at most
-    1 + 32j at the j-th symbol other than the last. A late one, at or past
-    position _LATE + m, has at least _LATE last symbols before it, so its
-    probability is at most (1 + 32j) / (2**15 + 1 + 32j). The late ones
-    are the last of the m: their information is at least
-    _MARKED_BITS[m] - _MARKED_BITS[m - late], the others' at least 0.
-    The coder's span exceeds 2**30 before each symbol and narrows to less
-    than span * p + 1; each renormalization doubles it and adds one bit.
-    So the length exceeds the information less 1 and less the sum of
-    log2(1 + total / (count * span)). total / count is at most A + 32m at
-    a last symbol and 2**16 + A + 32m at another, so that sum is below
-    (n * (A + 32m) + m * 2**16) / 2**29 for n symbols of alphabet A. The
-    bound rounds down one bit more, so float rounding cannot break it."""
-    symbols = locmap.symbols.ravel()
-    n, alphabet = symbols.size, locmap.alphabet_size
-    marked = symbols != alphabet - 1
-    m = int(np.count_nonzero(marked))
+    1 + 32j at the j-th symbol other than the last. A late one has at least
+    _LATE last symbols before it, so its probability is at most
+    (1 + 32j) / (2**15 + 1 + 32j). The late ones are the last of the m:
+    their information is at least _MARKED_BITS[m] - _MARKED_BITS[m - late],
+    the others' at least 0. The coder's span exceeds 2**30 before each
+    symbol and narrows to less than span * p + 1; each renormalization
+    doubles it and adds one bit. So the length exceeds the information less
+    1 and less the sum of log2(1 + total / (count * span)). total / count
+    is at most A + 32m at a last symbol and 2**16 + A + 32m at another, so
+    that sum is below (n * (A + 32m) + m * 2**16) / 2**29 for n symbols of
+    alphabet A. The bound rounds down one bit more, so float rounding
+    cannot break it."""
     if m == 0 or m >= _MARKED_MAX:
         # a non-empty map ends in a 1 bit
         return min(1, n)
-    late = int(np.count_nonzero(marked[_LATE + m:]))
     info = _MARKED_BITS[m] - _MARKED_BITS[m - late]
     slack = (n * (alphabet + _MODEL_INCREMENT * m) + m * _MODEL_CAP) / 2**29
     return max(1, math.floor(info - slack) - 1)
+
+
+def _floors(n, alphabet, marked, cells, index, flip, counts):
+    """_bit_length_floor of each map of a group of n-symbol maps of the
+    alphabet, at once. Map j marks the positions marked marks (a flat bool
+    array), less or plus each of the sorted flat positions cells whose flip
+    (-1 or 1) has index <= j, and counts[j] positions in all (an int array).
+    Only a map of fewer than _MARKED_MAX marked symbols reads its late
+    count: m less those before its bound _LATE + m. No such bound exceeds
+    _LATE + _MARKED_MAX, so only the positions before that are read."""
+    size = counts.size
+    ms = counts.tolist()
+    if not any(0 < m < _MARKED_MAX for m in ms):
+        return [_floor_bits(n, alphabet, m, 0) for m in ms]
+    bound = _LATE + counts
+    near = np.searchsorted(cells, _LATE + _MARKED_MAX)
+    # a flip lies before map j's bound iff it lies at or past no more of
+    # the bounds than those below map j's: binned by that count and index
+    order = np.sort(bound)
+    reach = np.searchsorted(order, cells[:near], "right")
+    hist = np.bincount(reach * size + index[:near], flip[:near], (size + 1) * size)
+    before = hist.reshape(size + 1, size).cumsum(0).cumsum(1)
+    # early[j]: the marked positions of map j before its bound
+    early = np.searchsorted(np.flatnonzero(marked[:_LATE + _MARKED_MAX]), bound)
+    early += before[np.searchsorted(order, bound), np.arange(size)].astype(int)
+    return [_floor_bits(n, alphabet, m, m - e) for m, e in zip(ms, early.tolist())]
 
 
 def decompress(cmap, shape=None):

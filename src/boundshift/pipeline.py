@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _bit_length_floor, compress, compress_binary_baseline, decompress
-from .embedder import PredictionErrorEmbedder
+from .codec import _floors, compress, compress_binary_baseline, decompress
+from .embedder import PredictionErrorEmbedder, _carrier_changes
 from .errors import CapacityError, CorruptionError, ValidationError
 from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
 from .imagecore import as_bits, as_flag, as_gray, count_boundary_pixels, psnr, validate_shift_width
@@ -160,8 +160,10 @@ class _SweepState:
     whatever the grid size: it keeps per key a few numbers and a coded map,
     no image and no map's symbols, so a map coded after other cells ran
     recomputes its forward output. measure_psnr says whether a cell that
-    fits embeds a payload to measure its PSNR; a state without it, which
-    only picks, also keeps per key a floor on its map's bits."""
+    fits embeds a payload to measure its PSNR. A state without it only
+    picks: it measures the cells of each distinct even pass in one step
+    (measure_pass), with no forward per cell, and also keeps per key a
+    floor on its map's bits."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
@@ -180,9 +182,29 @@ class _SweepState:
         if key not in self.rooms:
             out = self.output(params, key)
             self.rooms[key] = (boundary_count_after(out), _EMBEDDER.capacity(out.shifted))
-            if not self.measure_psnr:
-                self.floors[key] = _bit_length_floor(out.locmap)
         return (key, *self.rooms[key])
+
+    def measure_pass(self, cells):
+        """(key, boundary count after, room) of each of cells, the cells of
+        one t_even in increasing t_odd, in one step per distinct even pass,
+        which also stores each key's floor on its map's bits. The clamped
+        even pass with no odd cell moved gives a count, a room and the
+        clamped cells; the odd cells that first move at each t_odd
+        (_ForwardCache.odd_steps) change them from there on."""
+        t_even, thresholds = cells[0].t_even, [params.t_odd for params in cells]
+        keys = self.passes.keys(t_even, thresholds)
+        if any(key not in self.floors for key in keys):
+            grid, marked, moved, index, step, flip = self.passes.odd_steps(t_even, thresholds)
+            size = len(cells)
+            flips = np.cumsum(np.bincount(index, flip, size)).astype(int)
+            counts = np.count_nonzero(marked) + flips
+            rooms = _EMBEDDER.capacity(grid) + _carrier_changes(grid, moved, index, step, size)
+            floors = _floors(grid.size, 2 * self.passes.shift + 1, marked, moved, index, flip,
+                             counts)
+            for key, count, room, floor in zip(keys, counts.tolist(), rooms.tolist(), floors):
+                self.rooms[key] = (count, room)
+                self.floors[key] = floor
+        return [(key, *self.rooms[key]) for key in keys]
 
     def coded(self, params, key):
         """The coded map of a cell of this key, coded once per key."""
@@ -270,11 +292,11 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     not coded again. With measure_psnr, each cell that fits embeds its own
     seeded payload.
 
-    measure_psnr=False only picks: no cell embeds, and only the maps that
-    can win are coded (_pick_only). The selected record, and every record
-    whose map was coded, is the full sweep's with psnr_db NaN where the
-    side information fits; a pruned record has map_bits_after, r1, r_emb
-    and psnr_db None."""
+    measure_psnr=False only picks: no cell embeds, each distinct even pass
+    measures all its cells in one step, and only the maps that can win are
+    coded (_pick_only). The selected record, and every record whose map was
+    coded, is the full sweep's with psnr_db NaN where the side information
+    fits; a pruned record has map_bits_after, r1, r_emb and psnr_db None."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     try:
@@ -300,24 +322,28 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     state = _SweepState(a, t, measure_psnr)
     cells = [PreprocessParams(t, t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
     if not measure_psnr:
-        return _pick_only(a, cells, state)
+        return _pick_only(a, cells, state, len(thresholds))
     records = [evaluate_cell(a, params, state) for params in cells]
     # max returns the first of equal records, so ties go to the smallest pair
     max(records, key=lambda rec: rec.r_emb).selected = True
     return records
 
 
-def _pick_only(a, cells, state):
-    """The records of a sweep that only picks. Every cell's room and a floor
-    on its map's bits (codec._bit_length_floor) come first, in sweep order,
-    with no map coded. A key's payload room is then at most its room less
-    the header and that floor. The distinct keys are visited in decreasing
-    such bound, ties in sweep order, and a key's map is coded only while
-    its bound can beat the best payload room so far, or tie it from an
-    earlier cell than the pick's. The pick is the first cell of the best
-    payload room in sweep order, or the grid's first cell when no cell has
-    a positive one, as max over the full records gives."""
-    measured = [state.measure(params) for params in cells]
+def _pick_only(a, cells, state, size):
+    """The records of a sweep that only picks; cells run t_even-major, size
+    of each t_even. Every cell's room and a floor on its map's bits
+    (codec._bit_length_floor) come first, one even pass at a time
+    (_SweepState.measure_pass), with no map coded. A key's payload room is
+    then at most its room less the header and that floor. The distinct keys
+    are visited in decreasing such bound, ties in sweep order, and a key's
+    map is coded only while its bound can beat the best payload room so
+    far, or tie it from an earlier cell than the pick's. The pick is the
+    first cell of the best payload room in sweep order, or the grid's first
+    cell when no cell has a positive one, as max over the full records
+    gives."""
+    measured = []
+    for start in range(0, len(cells), size):
+        measured += state.measure_pass(cells[start:start + size])
     first = {}
     for i, (key, _, _) in enumerate(measured):
         first.setdefault(key, i)

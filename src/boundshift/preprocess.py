@@ -119,6 +119,8 @@ class _ForwardCache:
         # per parity, None or a list whose item i counts the parity's cells
         # predicted below i - 128
         self.bands = [None, None]
+        # 255 at the even cells and 0 at the odd ones, built on first use
+        self.even_high = None
 
     def _moved(self, parity, t):
         """How many cells of the parity a pass of threshold t moves."""
@@ -149,12 +151,51 @@ class _ForwardCache:
         self._even(params.t_even)
         return self._moved(0, params.t_even), self._moved(1, params.t_odd)
 
+    def keys(self, t_even, thresholds):
+        """The key of the cell of t_even and each t_odd of thresholds, read
+        as key reads one."""
+        self._even(t_even)
+        even = self._moved(0, t_even)
+        return [(even, self._moved(1, t_odd)) for t_odd in thresholds]
+
     def forward(self, params):
         """Even pass (kept while the cells it moves repeat), odd pass, then
         the clamp; params must be of this shift width."""
         self._even(params.t_even)
         odd = _apply_pass(self.pass_even, self.even_pred, 1, params.t_odd, self.shift, +1)
         return _clamp(odd, params)
+
+    def odd_steps(self, t_even, thresholds):
+        """What the odd pass does after t_even's even pass under every t_odd
+        of thresholds (sorted, each in [1, 127]) at once, with no forward
+        per t_odd. An odd cell predicted at v moves by +shift if v <= 127
+        and by -shift otherwise, for every t_odd above min(v, 255 - v), so
+        from the first index of thresholds past that value on.
+
+        Returns the clamped grid with no odd cell moved (uint8), whether each
+        of its cells was clamped (flat, bool), and, for each odd cell some
+        t_odd moves, its flat position, that first index, the change of its
+        clamped value, and the change of whether it is clamped (-1, 0, 1)."""
+        self._even(t_even)
+        t, grid, pred = self.shift, self.pass_even, self.even_pred
+        if self.even_high is None:
+            self.even_high = np.zeros(grid.shape, dtype=np.int16)
+            self.even_high[0::2, 0::2] = self.even_high[1::2, 1::2] = 255
+        clamped = np.clip(grid, t, 255 - t)
+        marked = (clamped != grid).ravel()
+        # min(v, 255 - v) at the odd cells, 255 at the even ones, which no
+        # t_odd moves
+        low = np.maximum(np.minimum(pred, 255 - pred), self.even_high)
+        cells = np.flatnonzero(low < thresholds[-1])
+        index = np.searchsorted(thresholds, low.ravel()[cells], "right")
+        # an odd cell is a cover value, in [0, 255]; moved, it is off by t
+        value = grid.ravel()[cells]
+        moved = value + np.where(pred.ravel()[cells] <= 127, t, -t).astype(np.int16)
+        moved_clamped = np.clip(moved, t, 255 - t)
+        value_clamped = clamped.ravel()[cells]
+        flip = (moved_clamped != moved).view(np.int8) - (value_clamped != value).view(np.int8)
+        return (clamped.astype(np.uint8), marked, cells, index,
+                moved_clamped - value_clamped, flip)
 
 
 def _unclamp(shifted, symbols, shift):

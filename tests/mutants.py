@@ -85,6 +85,41 @@ MUTANTS = [
            "    if m == 0 or m > _MARKED_MAX:",
            "with 2048 or more other symbols a count besides the clear one's may halve "
            "the model, and no floor above one bit is given"),
+    # the pick-only sweep's step per even pass
+    Mutant("odd-steps-left-index", "src/boundshift/preprocess.py",
+           '        index = np.searchsorted(thresholds, low.ravel()[cells], "right")',
+           '        index = np.searchsorted(thresholds, low.ravel()[cells], "left")',
+           "an odd cell predicted at v first moves at the first t_odd above "
+           "min(v, 255 - v), not at one equal to it"),
+    Mutant("odd-steps-direction-at-the-middle", "src/boundshift/preprocess.py",
+           "np.where(pred.ravel()[cells] <= 127, t, -t)",
+           "np.where(pred.ravel()[cells] < 127, t, -t)",
+           "an odd cell predicted at or below 127 moves up, above it down",
+           equivalent="a cell predicted 127 or 128 has min(v, 255 - v) = 127, and no "
+                      "t_odd up to 127 moves it, so its direction is never read"),
+    Mutant("odd-steps-direction-below-the-middle", "src/boundshift/preprocess.py",
+           "np.where(pred.ravel()[cells] <= 127, t, -t)",
+           "np.where(pred.ravel()[cells] <= 125, t, -t)",
+           "an odd cell predicted 126, which t_odd 127 moves, moves up"),
+    Mutant("carrier-upper-bound", "src/boundshift/embedder.py",
+           "    carrier = ((low <= twice) & (twice < high)).view(np.int8)",
+           "    carrier = ((low <= twice) & (twice <= high)).view(np.int8)",
+           "an even cell predicted E + 2 is no carrier: 2S < n(2E + 3)"),
+    Mutant("carrier-border-count", "src/boundshift/embedder.py",
+           "    n = packed & 15",
+           "    n = 4",
+           "an even cell on the border ring is predicted from its two or three "
+           "neighbours, not four"),
+    Mutant("floors-late-bound", "src/boundshift/codec.py",
+           "    bound = _LATE + counts",
+           "    bound = counts",
+           "a map's late symbols lie at or past _LATE + m, as _bit_length_floor counts "
+           "them"),
+    Mutant("floors-weighs-too-few-flips", "src/boundshift/codec.py",
+           "    near = np.searchsorted(cells, _LATE + _MARKED_MAX)",
+           "    near = np.searchsorted(cells, _LATE)",
+           "a flip before any map's late bound, up to _LATE + _MARKED_MAX, changes its "
+           "late count"),
     Mutant("pick-ties-to-the-last-cell", "src/boundshift/pipeline.py",
            "        if payload > best or (payload == best and i < pick):",
            "        if payload > best or (payload == best and i > pick):",

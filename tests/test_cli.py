@@ -7,7 +7,7 @@ import pytest
 from numpy.random import default_rng
 
 from boundshift import PreprocessParams, embedder, load_pgm, pipeline, preprocess, save_pgm
-from boundshift.cli import _REPORT_FIELDS, main
+from boundshift.cli import _REPORT_FIELDS, build_parser, main
 from boundshift.fixtures import _pooled_field
 
 from conftest import smooth_image
@@ -41,6 +41,48 @@ def test_embed_extract_round_trip(tmp_path, capsys):
     assert out_pay.read_bytes() == pay.read_bytes()
     assert out_img.read_bytes() == cover.read_bytes()
     assert "extracted 128 payload bits" in capsys.readouterr().out
+
+
+def test_main_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
+    # embed --auto, extract, a usage error and analyze, in one process on
+    # one parser and again each on a parser built for it alone
+    cover = _pooled_field(default_rng(3), 32, 32, 40, 45)
+    save_pgm(tmp_path / "cover.pgm", cover)
+    (tmp_path / "payload.bin").write_bytes(b"one parser")
+    (tmp_path / "dir").mkdir()
+    save_pgm(tmp_path / "dir" / "cover.pgm", cover)
+
+    def calls(out, fresh):
+        argvs = [
+            ["embed", str(tmp_path / "cover.pgm"), "--payload", str(tmp_path / "payload.bin"),
+             "--out", str(out / "marked.pgm"), "--auto", "--t-max", "6"],
+            ["extract", str(out / "marked.pgm"), "--payload-out", str(out / "payload.bin"),
+             "--out", str(out / "cover.pgm")],
+            ["embed", str(tmp_path / "cover.pgm"), "--payload", str(tmp_path / "payload.bin"),
+             "--out", str(out / "x.pgm"), "--auto", "--t-odd", "2"],
+            ["analyze", str(tmp_path / "dir"), "--report", str(out / "report.csv"),
+             "--t-even", "1", "--t-odd", "4"],
+        ]
+        results = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            text = capsys.readouterr()
+            results.append((rc, text.out.replace(str(out), ""), text.err))
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return results, files
+
+    (tmp_path / "shared").mkdir()
+    (tmp_path / "fresh").mkdir()
+    shared = calls(tmp_path / "shared", fresh=False)
+    assert build_parser() is build_parser()
+    assert shared == calls(tmp_path / "fresh", fresh=True)
+    assert [rc for rc, _, _ in shared[0]] == [0, 0, 2, 0]
+    assert "takes no --t-even or --t-odd" in shared[0][2][2]
 
 
 def test_embed_reports_metrics(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Threshold sweep: pinned reports, a cell-by-cell differential test, also
 at the edges of the key that lets cells share an evaluation, the pick-only
-sweep's pruning, its error paths, and counts of the work it does."""
+sweep's pruning and its step per even pass against the per-cell chain, its
+error paths, and counts of the work it does."""
 
 import dataclasses
 import hashlib
@@ -442,7 +443,7 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
     # on blobs, the thresholds move few distinct sets of pixels; the cells
     # of t_odd 1 do not fit, so no PSNR embed follows a cell of another key
     cover = _blobs(default_rng(10), 64, 64, 0.45)
-    run(cover)
+    records = run(cover)
     monkeypatch.undo()
     distinct = set()
     for t_even in range(1, 17):
@@ -453,10 +454,15 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
     if measure_psnr:
         assert counts == {"odd passes": len(distinct), "capacity": len(distinct)}
     else:
-        # each distinct cell measured once, then at most one more odd pass
-        # for each map the pick codes
-        assert counts["capacity"] == len(distinct)
-        assert len(distinct) <= counts["odd passes"] <= len(distinct) + len(coded)
+        # one capacity per distinct even pass, which measures all its cells
+        # at once; an odd pass only for each key whose map the pick codes
+        passes = preprocess._ForwardCache(cover, 1)
+        even_passes = {passes.key(PreprocessParams(1, t, 1))[0] for t in range(1, 17)}
+        coded_keys = {passes.key(PreprocessParams(1, rec.t_even, rec.t_odd))
+                      for rec in records if rec.map_bits_after is not None}
+        assert len(even_passes) < len(distinct)
+        assert counts["capacity"] == len(even_passes)
+        assert 0 < len(coded) <= counts["odd passes"] == len(coded_keys)
 
 
 def _pools_with_seams(n=16):
@@ -548,3 +554,62 @@ def test_evaluate_cell_refuses_a_state_of_another_cover_or_shift():
 def test_evaluate_cell_refuses_a_state_that_is_not_a_sweeps(state):
     with pytest.raises(ValidationError, match="state must be a sweep's state"):
         pipeline.evaluate_cell(_cover((16, 16)), PreprocessParams(1, 3, 5), state)
+
+
+@st.composite
+def _odd_step_covers(draw):
+    """Covers of 2x2 to 13x13: dark, blobs, extreme values or noise."""
+    h = draw(st.integers(2, 13))
+    w = draw(st.integers(2, 13))
+    rng = default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(["dark", "blobs", "extremes", "noise"]))
+    if kind == "dark":
+        return _pooled_field(rng, h, w, 40, 45)
+    if kind == "blobs":
+        return _blobs(rng, h, w, 0.45)
+    if kind == "extremes":
+        return rng.choice(np.array([0, 1, 2, 3, 128, 252, 253, 254, 255], np.uint8), (h, w))
+    return rng.integers(0, 256, (h, w), dtype=np.uint8)
+
+
+def _check_odd_steps(cover, t_range, shift):
+    """The pick-only state's step per even pass against the per-cell chain
+    (key, forward, boundary_count_after, capacity, _bit_length_floor) on
+    every cell of the sorted, deduplicated thresholds."""
+    thresholds = sorted(set(t_range))
+    state = pipeline._SweepState(cover, shift, measure_psnr=False)
+    passes = preprocess._ForwardCache(cover, shift)
+    for t_even in thresholds:
+        cells = [PreprocessParams(shift, t_even, t_odd) for t_odd in thresholds]
+        for params, (key, count, room) in zip(cells, state.measure_pass(cells)):
+            out = forward(cover, params)
+            assert key == passes.key(params)
+            assert count == preprocess.boundary_count_after(out)
+            assert room == PredictionErrorEmbedder().capacity(out.shifted)
+            assert state.floors[key] == _bit_length_floor(out.locmap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cover=_odd_step_covers(),
+    t_range=st.lists(st.integers(1, 127), min_size=1, max_size=8),
+    shift=st.integers(1, 5),
+)
+def test_odd_steps_match_the_per_cell_chain(cover, t_range, shift):
+    # unsorted, with repeats, and always reaching 127, where the bands meet
+    _check_odd_steps(cover, t_range + t_range[:1] + [127], shift)
+
+
+@pytest.mark.parametrize("name", sorted(KEY_EDGES))
+def test_odd_steps_match_the_per_cell_chain_at_the_key_edges(name):
+    cover, shift, _ = KEY_EDGES[name]
+    for t in sorted({shift, 3}):
+        _check_odd_steps(cover, [1, 2, 4, 5, 6, 126, 127], t)
+
+
+@pytest.mark.parametrize("kind", ["dark", "blobs"])
+def test_odd_steps_match_the_per_cell_chain_at_128x128(kind):
+    rng = default_rng(113)
+    cover = (_pooled_field(rng, 128, 128, 40, 45) if kind == "dark"
+             else _blobs(rng, 128, 128, 0.45))
+    _check_odd_steps(cover, range(1, 17), 1)
