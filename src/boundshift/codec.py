@@ -31,9 +31,9 @@ __pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).
 
-_bit_length_floor bounds a map's coded length from below without coding
-it, from the model alone (_floor_bits); the pick-only sweep skips the maps
-it rules out, and bounds the maps of one even pass at once (_floors).
+_floors bounds the coded lengths of the maps of one even pass from below
+at once, without coding them, from the model alone (_floor_bits); the
+pick-only sweep skips the maps it rules out.
 """
 
 import ctypes
@@ -287,22 +287,10 @@ _MARKED_BITS = [0.0, *itertools.accumulate(
     math.log2(1 + (_MODEL_CAP // 2) / (1 + _MODEL_INCREMENT * j)) for j in range(_MARKED_MAX))]
 
 
-def _bit_length_floor(locmap):
-    """A lower bound on compress(locmap).bit_length, from the count m of
-    symbols other than the last (the clear symbol 2t of a preprocessing
-    map) and how many of them lie late in raster order, at or past position
-    _LATE + m (_floor_bits); it costs no coding."""
-    symbols = locmap.symbols.ravel()
-    marked = symbols != locmap.alphabet_size - 1
-    m = int(np.count_nonzero(marked))
-    late = int(np.count_nonzero(marked[_LATE + m:]))
-    return _floor_bits(symbols.size, locmap.alphabet_size, m, late)
-
-
 def _floor_bits(n, alphabet, m, late):
     """The floor on the coded length of a map of n symbols of the alphabet,
-    m of them other than the last, late of those at or past position
-    _LATE + m.
+    m of them other than the last (the clear symbol 2t of a preprocessing
+    map), late of those at or past position _LATE + m; it costs no coding.
 
     For m < 2048 no other symbol occurs 2048 times, so only the last
     symbol's count reaches the cap, and another symbol's count is at most
@@ -327,13 +315,14 @@ def _floor_bits(n, alphabet, m, late):
 
 
 def _floors(n, alphabet, marked, cells, index, flip, counts):
-    """_bit_length_floor of each map of a group of n-symbol maps of the
-    alphabet, at once. Map j marks the positions marked marks (a flat bool
-    array), less or plus each of the sorted flat positions cells whose flip
-    (-1 or 1) has index <= j, and counts[j] positions in all (an int array).
-    Only a map of fewer than _MARKED_MAX marked symbols reads its late
-    count: m less those before its bound _LATE + m. No such bound exceeds
-    _LATE + _MARKED_MAX, so only the positions before that are read."""
+    """The floor (_floor_bits) on the coded length of each map of a group of
+    n-symbol maps of the alphabet, at once. Map j marks the positions
+    marked marks (a flat bool array), less or plus each of the sorted flat
+    positions cells whose flip (-1 or 1) has index <= j, and counts[j]
+    positions in all (an int array). Only a map of fewer than _MARKED_MAX
+    marked symbols reads its late count: m less those before its bound
+    _LATE + m. No such bound exceeds _LATE + _MARKED_MAX, so only the
+    positions before that are read."""
     size = counts.size
     ms = counts.tolist()
     if not any(0 < m < _MARKED_MAX for m in ms):

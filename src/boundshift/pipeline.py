@@ -17,7 +17,8 @@ from .codec import _floors, compress, compress_binary_baseline, decompress
 from .embedder import PredictionErrorEmbedder, _carrier_changes
 from .errors import CapacityError, CorruptionError, ValidationError
 from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
-from .imagecore import as_bits, as_flag, as_gray, count_boundary_pixels, psnr, validate_shift_width
+from .imagecore import (as_bits, as_flag, as_gray, check_param, count_boundary_pixels, psnr,
+                        validate_shift_width)
 from .preprocess import (
     PreprocessParams,
     _check_size,
@@ -153,67 +154,56 @@ def _cover_stats(a, shift):
 class _SweepState:
     """What the cells of one sweep share: the cover's stats, its forward
     passes, the last coded map, reused while the map does not change, and
-    what each distinct cell measured. A cell whose passes move the same
-    cells as an earlier one (the same _ForwardCache.key) has the same
-    shifted image and map, so it reuses that cell's boundary count and room
-    and, once coded, its map. The state holds a fixed number of images,
-    whatever the grid size: it keeps per key a few numbers and a coded map,
-    no image and no map's symbols, so a map coded after other cells ran
-    recomputes its forward output. measure_psnr says whether a cell that
-    fits embeds a payload to measure its PSNR. A state without it only
-    picks: it measures the cells of each distinct even pass in one step
-    (measure_pass), with no forward per cell, and also keeps per key a
-    floor on its map's bits."""
+    per key (_ForwardCache.key: cells of one key have the same shifted image
+    and map) its boundary count, room and map floor, and its coded map. It
+    holds a fixed number of images, whatever the grid size, so a map coded
+    after other cells ran recomputes its forward output. measure_psnr says
+    whether a cell that fits embeds a payload to measure its PSNR; a state
+    without it only picks (_pick_only)."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
         self.stats = _cover_stats(a, shift)
         self.passes = _ForwardCache(a, shift)
         self.symbols = self.cmap = None
-        self.rooms = {}
-        self.floors = {}
+        # key: (boundary count after, room, map floor or None)
+        self.measured = {}
         self.maps = {}
         self.last = (None, None)
 
-    def measure(self, params):
-        """(key, boundary count after, room) of a cell, evaluated once per
-        key."""
-        key = self.passes.key(params)
-        if key not in self.rooms:
-            out = self.output(params, key)
-            self.rooms[key] = (boundary_count_after(out), _EMBEDDER.capacity(out.shifted))
-        return (key, *self.rooms[key])
-
-    def measure_pass(self, cells):
-        """(key, boundary count after, room) of each of cells, the cells of
-        one t_even in increasing t_odd, in one step per distinct even pass,
-        which also stores each key's floor on its map's bits. The clamped
-        even pass with no odd cell moved gives a count, a room and the
-        clamped cells; the odd cells that first move at each t_odd
-        (_ForwardCache.odd_steps) change them from there on."""
-        t_even, thresholds = cells[0].t_even, [params.t_odd for params in cells]
+    def measure_pass(self, t_even, thresholds):
+        """(key, boundary count after, room, map floor) of the cell of t_even
+        and each t_odd of thresholds (sorted), in one step per distinct even
+        pass: the clamped even pass with no odd cell moved gives a count, a
+        room and the clamped cells, and the odd cells that first move at each
+        t_odd (_ForwardCache.odd_steps) change them from there on."""
         keys = self.passes.keys(t_even, thresholds)
-        if any(key not in self.floors for key in keys):
+        if any(key not in self.measured for key in keys):
             grid, marked, moved, index, step, flip = self.passes.odd_steps(t_even, thresholds)
-            size = len(cells)
+            size = len(thresholds)
             flips = np.cumsum(np.bincount(index, flip, size)).astype(int)
             counts = np.count_nonzero(marked) + flips
             rooms = _EMBEDDER.capacity(grid) + _carrier_changes(grid, moved, index, step, size)
             floors = _floors(grid.size, 2 * self.passes.shift + 1, marked, moved, index, flip,
                              counts)
             for key, count, room, floor in zip(keys, counts.tolist(), rooms.tolist(), floors):
-                self.rooms[key] = (count, room)
-                self.floors[key] = floor
-        return [(key, *self.rooms[key]) for key in keys]
+                self.measured[key] = (count, room, floor)
+        return [(key, *self.measured[key]) for key in keys]
 
-    def coded(self, params, key):
-        """The coded map of a cell of this key, coded once per key."""
+    def evaluate(self, params, key):
+        """(boundary count after, room, coded map) of a cell of this key, from
+        one forward output per key; count and room are measured there only
+        for a key that no pass measured."""
         if key not in self.maps:
-            locmap = self.output(params, key).locmap
-            if self.symbols is None or not np.array_equal(locmap.symbols, self.symbols):
-                self.symbols, self.cmap = locmap.symbols, compress(locmap)
+            out = self.output(params, key)
+            if key not in self.measured:
+                self.measured[key] = (boundary_count_after(out),
+                                      _EMBEDDER.capacity(out.shifted), None)
+            if self.symbols is None or not np.array_equal(out.locmap.symbols, self.symbols):
+                self.symbols, self.cmap = out.locmap.symbols, compress(out.locmap)
             self.maps[key] = self.cmap
-        return self.maps[key]
+        after_count, room, _ = self.measured[key]
+        return after_count, room, self.maps[key]
 
     def output(self, params, key):
         """The forward output of a cell of this key; the last one is kept for
@@ -244,8 +234,8 @@ def evaluate_cell(cover, params, state=None):
         raise ValidationError("state was built for another cover or shift width")
     else:
         stats = state.stats
-        key, after_count, room = state.measure(params)
-        cmap = state.coded(params, key)
+        key = state.passes.key(params)
+        after_count, room, cmap = state.evaluate(params, key)
     side_info = FRAME_HEADER_BITS + cmap.bit_length
     payload_room = max(0, room - side_info)
     if room < side_info:
@@ -284,19 +274,14 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     """Evaluate every (t_even, t_odd) cell; the record with the highest
     r_emb is flagged selected, ties resolved to the smallest pair.
 
-    The cells share one _SweepState and run t_even-major, so the cover is
-    predicted once and each distinct even pass once. Cells whose thresholds
-    move the same pixels share one evaluation (forward pass, coded map and
-    capacity), which on a cover of saturated regions leaves a few of the
-    grid's cells; among the others, a map equal to the last one coded is
-    not coded again. With measure_psnr, each cell that fits embeds its own
-    seeded payload.
+    The cells run t_even-major and share one _SweepState, so cells whose
+    thresholds move the same pixels share one evaluation. With
+    measure_psnr, each cell that fits embeds its own seeded payload.
 
-    measure_psnr=False only picks: no cell embeds, each distinct even pass
-    measures all its cells in one step, and only the maps that can win are
-    coded (_pick_only). The selected record, and every record whose map was
-    coded, is the full sweep's with psnr_db NaN where the side information
-    fits; a pruned record has map_bits_after, r1, r_emb and psnr_db None."""
+    measure_psnr=False only picks (_pick_only): the selected record, and
+    every record whose map was coded, is the full sweep's with psnr_db NaN
+    where the side information fits; a pruned record has map_bits_after,
+    r1, r_emb and psnr_db None."""
     a = as_gray(cover)
     t = validate_shift_width(shift)
     try:
@@ -313,26 +298,24 @@ def sweep(cover, t_range, shift, measure_psnr=True):
         raise ValidationError("t_range must not be empty")
     measure_psnr = as_flag(measure_psnr, "measure_psnr")
     # the first cell's thresholds are checked before the cover's size, as
-    # evaluating that cell on its own would, and all others before any cell
-    # runs, each as the t_odd of the first cell in sweep order to meet it
-    PreprocessParams(t, thresholds[0], thresholds[0])
+    # evaluating that cell on its own would, and the others before any cell
+    # runs, each as the t_odd of the first row's cell that meets it first
+    check_param("t_even", thresholds[0])
     _check_size(a)
-    for v in thresholds:
-        PreprocessParams(t, thresholds[0], v)
-    state = _SweepState(a, t, measure_psnr)
     cells = [PreprocessParams(t, t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
+    state = _SweepState(a, t, measure_psnr)
     if not measure_psnr:
-        return _pick_only(a, cells, state, len(thresholds))
+        return _pick_only(a, cells, state, thresholds)
     records = [evaluate_cell(a, params, state) for params in cells]
     # max returns the first of equal records, so ties go to the smallest pair
     max(records, key=lambda rec: rec.r_emb).selected = True
     return records
 
 
-def _pick_only(a, cells, state, size):
-    """The records of a sweep that only picks; cells run t_even-major, size
-    of each t_even. Every cell's room and a floor on its map's bits
-    (codec._bit_length_floor) come first, one even pass at a time
+def _pick_only(a, cells, state, thresholds):
+    """The records of a sweep that only picks; cells run t_even-major over
+    thresholds. Every cell's boundary count, room and a floor on its map's
+    bits (codec._floors) come first, in one step per distinct even pass
     (_SweepState.measure_pass), with no map coded. A key's payload room is
     then at most its room less the header and that floor. The distinct keys
     are visited in decreasing such bound, ties in sweep order, and a key's
@@ -340,27 +323,28 @@ def _pick_only(a, cells, state, size):
     far, or tie it from an earlier cell than the pick's. The pick is the
     first cell of the best payload room in sweep order, or the grid's first
     cell when no cell has a positive one, as max over the full records
-    gives."""
+    gives. The pick and every cell of a coded key get the full sweep's
+    record, the others one without a map."""
     measured = []
-    for start in range(0, len(cells), size):
-        measured += state.measure_pass(cells[start:start + size])
+    for t_even in thresholds:
+        measured += state.measure_pass(t_even, thresholds)
     first = {}
-    for i, (key, _, _) in enumerate(measured):
+    for i, (key, _, _, _) in enumerate(measured):
         first.setdefault(key, i)
-    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]
-            for i in first.values()}
+    most = {i: measured[i][2] - FRAME_HEADER_BITS - measured[i][3] for i in first.values()}
     best, pick = 0, 0
     # sorted is stable and most holds the keys' first cells in sweep order,
     # so a key that cannot win is followed only by keys that cannot either
     for i in sorted(most, key=lambda i: -most[i]):
         if most[i] < best or (most[i] == best and i >= pick):
             break
-        key, _, room = measured[i]
-        payload = room - FRAME_HEADER_BITS - state.coded(cells[i], key).bit_length
+        key, _, room, _ = measured[i]
+        _, _, cmap = state.evaluate(cells[i], key)
+        payload = room - FRAME_HEADER_BITS - cmap.bit_length
         if payload > best or (payload == best and i < pick):
             best, pick = payload, i
     records = []
-    for i, (params, (key, after_count, _)) in enumerate(zip(cells, measured)):
+    for i, (params, (key, after_count, _, _)) in enumerate(zip(cells, measured)):
         if i == pick or key in state.maps:
             records.append(evaluate_cell(a, params, state))
         else:

@@ -12,11 +12,12 @@ of Tier-1; a change that adds, moves or removes a check re-runs it):
     python3 tests/mutants.py NAME [NAME ...]  # only these; prints the results
 
 The tree is copied into a temporary directory, never changed in place. The
-unmutated copy must pass the Tier-1 suite first; then each mutant is
-applied to the copy in turn, the suite runs there with -x, and the file is
-restored. A mutant is killed when the suite fails, and the first failing
-test is recorded; where a hypothesis test is the first to fail, which one
-that is can vary from run to run.
+unmutated copy must pass the Tier-1 suite, less the table's own checks in
+tests/test_mutants.py, first; then each mutant is applied to the copy in
+turn, the suite runs there with -x, and the file is restored. A mutant is
+killed when the suite fails, and the first failing test is recorded; where
+a hypothesis test is the first to fail, which one that is can vary from
+run to run.
 """
 
 import json
@@ -30,7 +31,10 @@ import time
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SUITE = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+# without tests/test_mutants.py, which checks this table against the tree:
+# in a mutated copy it would fail for every mutant, whatever src/ does
+SUITE = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--ignore=tests/test_mutants.py"]
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                ".bench_work", ".bench_out")
 
@@ -62,13 +66,13 @@ MUTANTS = [
            "a key whose bound ties the best payload room from a cell before the "
            "pick's is coded: it could win the tie"),
     Mutant("pick-ignores-the-floor", "src/boundshift/pipeline.py",
-           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]",
-           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - 1",
+           "measured[i][2] - FRAME_HEADER_BITS - measured[i][3]",
+           "measured[i][2] - FRAME_HEADER_BITS - 1",
            "a key is bounded by its map's floor, not by one bit: a dark 96x96 cover "
            "codes fewer maps than room alone would"),
     Mutant("pick-trusts-twice-the-floor", "src/boundshift/pipeline.py",
-           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - state.floors[measured[i][0]]",
-           "    most = {i: measured[i][2] - FRAME_HEADER_BITS - 2 * state.floors[measured[i][0]]",
+           "measured[i][2] - FRAME_HEADER_BITS - measured[i][3]",
+           "measured[i][2] - FRAME_HEADER_BITS - 2 * measured[i][3]",
            "a key is pruned only when its room less the header and its map's floor "
            "cannot beat the pick"),
     # the floor on a map's coded length
@@ -76,10 +80,6 @@ MUTANTS = [
            "    return max(1, math.floor(info - slack) - 1)",
            "    return max(1, math.floor(info - slack) + 1)",
            "the floor is at most the coded length, with a bit to spare for float rounding"),
-    Mutant("floor-counts-early-symbols", "src/boundshift/codec.py",
-           "    late = int(np.count_nonzero(marked[_LATE + m:]))",
-           "    late = int(np.count_nonzero(marked[_LATE:]))",
-           "only a symbol with at least 1024 clear ones before it is bounded"),
     Mutant("floor-past-the-cap", "src/boundshift/codec.py",
            "    if m == 0 or m >= _MARKED_MAX:",
            "    if m == 0 or m > _MARKED_MAX:",
@@ -113,8 +113,8 @@ MUTANTS = [
     Mutant("floors-late-bound", "src/boundshift/codec.py",
            "    bound = _LATE + counts",
            "    bound = counts",
-           "a map's late symbols lie at or past _LATE + m, as _bit_length_floor counts "
-           "them"),
+           "a map's late symbols lie at or past _LATE + m: only a symbol with at least "
+           "1024 clear ones before it is bounded"),
     Mutant("floors-weighs-too-few-flips", "src/boundshift/codec.py",
            "    near = np.searchsorted(cells, _LATE + _MARKED_MAX)",
            "    near = np.searchsorted(cells, _LATE)",
@@ -176,6 +176,14 @@ MUTANTS = [
            "    if need > stream.size:",
            "    if need >= stream.size:",
            "a frame that exactly fills the carriers decodes"),
+    Mutant("frame-magic-check", "src/boundshift/formats.py",
+           "    if magic != FRAME_MAGIC:",
+           "    if False:",
+           "a stream whose first byte is not the frame magic is refused"),
+    Mutant("side-file-magic-check", "src/boundshift/formats.py",
+           "    if magic != SIDE_FILE_MAGIC:",
+           "    if False:",
+           "a side file that does not start with LP is refused"),
     Mutant("psnr-denominator", "src/boundshift/imagecore.py",
            "    mse = sse / x.size",
            "    mse = sse / (x.size + 1)",
@@ -201,6 +209,11 @@ MUTANTS = [
            "#define INCREMENT 32",
            "#define INCREMENT 31",
            "the compiled coder's model grows a count by 32, as the pinned bytes hold"),
+    Mutant("kernel-halving-test", "src/boundshift/_coder.c",
+           "    if (freq[s] >= CAP) {",
+           "    if (freq[s] > CAP) {",
+           "the compiled coder halves its counts once one reaches 2**16, as the Python "
+           "coder does"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

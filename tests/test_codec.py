@@ -33,6 +33,7 @@ from boundshift.fixtures import _blobs, _dark, _pooled_field
 
 from conftest import smooth_image
 
+from oracle_floor import bit_length_floor
 from test_formats import GOLDEN_BYTES, GOLDEN_MAP
 
 # The coder compress() and decompress() run, taken before any test swaps it:
@@ -332,7 +333,7 @@ def test_bit_length_floor_never_exceeds_the_coded_length(seed, place, alphabet, 
                      "late": np.arange(n - m, n), "early": np.arange(m)}[place]
         values = rng.integers(0, alphabet - 1, m) if rng.random() < 0.5 else 0
         locmap = _sparse_map(h, w, alphabet, positions, values)
-    assert 1 <= codec._bit_length_floor(locmap) <= compress(locmap).bit_length
+    assert 1 <= bit_length_floor(locmap) <= compress(locmap).bit_length
 
 
 @pytest.mark.parametrize("marked, floor, bit_length", [
@@ -342,16 +343,16 @@ def test_bit_length_floor_never_exceeds_the_coded_length(seed, place, alphabet, 
 ])
 def test_bit_length_floor_of_late_marked_symbols(marked, floor, bit_length):
     locmap = _sparse_map(128, 128, 3, np.arange(128 * 128 - marked, 128 * 128), 0)
-    assert codec._bit_length_floor(locmap) == floor
+    assert bit_length_floor(locmap) == floor
     assert compress(locmap).bit_length == bit_length
 
 
 def test_bit_length_floor_bounds_only_late_marked_symbols():
     # a marked symbol with fewer than 1024 clear ones before it may be cheap
-    assert codec._bit_length_floor(_sparse_map(128, 128, 3, np.arange(1025), 0)) == 1
-    assert codec._bit_length_floor(_sparse_map(128, 128, 3, [1024], 0)) == 1
-    assert codec._bit_length_floor(_sparse_map(128, 128, 3, [1025], 0)) == 13
-    assert codec._bit_length_floor(LocationMap(np.zeros((0, 0), dtype=np.uint8), 3)) == 0
+    assert bit_length_floor(_sparse_map(128, 128, 3, np.arange(1025), 0)) == 1
+    assert bit_length_floor(_sparse_map(128, 128, 3, [1024], 0)) == 1
+    assert bit_length_floor(_sparse_map(128, 128, 3, [1025], 0)) == 13
+    assert bit_length_floor(LocationMap(np.zeros((0, 0), dtype=np.uint8), 3)) == 0
 
 def _test_map(rng, kind, alphabet, h, w):
     """A uniform map, a constant one, or one 97% a single symbol: a random
@@ -453,6 +454,25 @@ def test_loader_compiles_into_an_empty_cache(tmp_path):
     bit_length, data = encode(GOLDEN_MAP.symbols.ravel(), 3)
     assert (bit_length, data) == (16, GOLDEN_BYTES[-2:])
     assert decode(data, bit_length, 6, 3) == GOLDEN_MAP.symbols.tobytes()
+
+
+def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    source = tmp_path / "broken.c"
+    source.write_text("this is not C\n")
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(codec, "_KERNEL_SOURCE", str(source))
+    with pytest.raises(OSError, match="cc exited with status"):
+        codec._compile_kernel(str(cache / "_coder-direct.so"))
+    encode, decode = codec._load_coder(str(cache))
+    assert (encode, decode) == PYTHON_CODER
+    # cc ran and failed: neither its temporary file nor a library is left
+    assert list(cache.glob("_coder-*.tmp")) == []
+    assert list(cache.glob("*.so")) == []
+    monkeypatch.setattr(codec, "_encode", encode)
+    monkeypatch.setattr(codec, "_decode", decode)
+    assert serialize_map(compress(GOLDEN_MAP)) == GOLDEN_BYTES
 
 
 @needs_kernel

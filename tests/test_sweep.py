@@ -19,12 +19,12 @@ from boundshift import (
 )
 from boundshift import embedder, pipeline, preprocess
 from boundshift.cli import main
-from boundshift.codec import _bit_length_floor
 from boundshift.formats import FRAME_HEADER_BITS
 from boundshift.fixtures import _blobs, _pooled_field
 from boundshift.preprocess import PreprocessParams
 
 from conftest import smooth_image
+from oracle_floor import bit_length_floor
 from oracle_sweep import oracle_sweep
 
 # Seeded covers for the pinned sweep reports: the three regimes at 32x32,
@@ -135,7 +135,7 @@ def _most(cover, params):
     most payload room the pick-only sweep grants it uncoded."""
     out = forward(cover, params)
     room = PredictionErrorEmbedder().capacity(out.shifted)
-    return room - FRAME_HEADER_BITS - _bit_length_floor(out.locmap)
+    return room - FRAME_HEADER_BITS - bit_length_floor(out.locmap)
 
 
 def _check_pick_only(cover, t_range, shift, expected):
@@ -350,17 +350,23 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     monkeypatch.setattr(pipeline, "compress", count(coded, pipeline.compress))
 
     cover = _pooled_field(default_rng(12), 32, 32, 40, 45)
+    passes = preprocess._ForwardCache(cover, 1)
+    even_passes = len({passes.key(PreprocessParams(1, t, 1))[0] for t in range(1, 17)})
     codings = {}
     for measure_psnr in (True, False):
         predictions.clear()
         coded.clear()
         records = sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
         assert len(records) == 256
-        # the cover once, each even pass once, then each cell's capacity;
-        # a cell's embed, if it makes one, reuses its capacity's errors; a
-        # pick-only sweep predicts again at most the even pass of each map
-        # it codes
-        assert len(predictions) <= 1 + 16 + 256 + (0 if measure_psnr else len(coded))
+        # the cover once; a full sweep then each even pass once and each
+        # cell's capacity, which a cell's embed, if it makes one, reuses; a
+        # pick-only sweep each distinct even pass at most three times (its
+        # prediction, its capacity and once more for the records) and once
+        # more per map it codes
+        if measure_psnr:
+            assert len(predictions) <= 1 + 16 + 256
+        else:
+            assert len(predictions) <= 1 + 3 * even_passes + len(coded)
         codings[measure_psnr] = list(coded)
 
     monkeypatch.undo()
@@ -376,7 +382,6 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     # records it reports as coded, and each the map of such a record
     picked = [locmap.symbols for locmap in codings[False]]
     assert 0 < len(picked) < len(changed)
-    passes = preprocess._ForwardCache(cover, 1)
     reported = [(passes.key(PreprocessParams(1, rec.t_even, rec.t_odd)), m.tobytes())
                 for m, rec in zip(maps, records) if rec.map_bits_after is not None]
     assert len(picked) <= len({key for key, _ in reported})
@@ -574,19 +579,20 @@ def _odd_step_covers(draw):
 
 def _check_odd_steps(cover, t_range, shift):
     """The pick-only state's step per even pass against the per-cell chain
-    (key, forward, boundary_count_after, capacity, _bit_length_floor) on
+    (key, forward, boundary_count_after, capacity, bit_length_floor) on
     every cell of the sorted, deduplicated thresholds."""
     thresholds = sorted(set(t_range))
     state = pipeline._SweepState(cover, shift, measure_psnr=False)
     passes = preprocess._ForwardCache(cover, shift)
     for t_even in thresholds:
-        cells = [PreprocessParams(shift, t_even, t_odd) for t_odd in thresholds]
-        for params, (key, count, room) in zip(cells, state.measure_pass(cells)):
+        measured = state.measure_pass(t_even, thresholds)
+        for t_odd, (key, count, room, floor) in zip(thresholds, measured):
+            params = PreprocessParams(shift, t_even, t_odd)
             out = forward(cover, params)
             assert key == passes.key(params)
             assert count == preprocess.boundary_count_after(out)
             assert room == PredictionErrorEmbedder().capacity(out.shifted)
-            assert state.floors[key] == _bit_length_floor(out.locmap)
+            assert floor == bit_length_floor(out.locmap)
 
 
 @settings(max_examples=150, deadline=None)
