@@ -214,10 +214,10 @@ class _SweepState:
 
 
 def evaluate_cell(cover, params, state=None):
-    """Metrics for one threshold cell; PSNR is measured on a marked image
-    carrying a seeded max-size pseudorandom payload. state is sweep's, for
-    this cover and shift width; a state built with measure_psnr=False skips
-    that embed, and a cell that fits reports psnr_db as NaN."""
+    """Metrics for one threshold cell (_record); PSNR is measured on a marked
+    image carrying a seeded max-size pseudorandom payload. state is sweep's,
+    for this cover and shift width; a state built with measure_psnr=False
+    skips that embed, and a cell that fits reports psnr_db as NaN."""
     a = as_gray(cover)
     # checked in forward's order, before the cover's stats read params.shift
     _check_size(a)
@@ -236,37 +236,36 @@ def evaluate_cell(cover, params, state=None):
         stats = state.stats
         key = state.passes.key(params)
         after_count, room, cmap = state.evaluate(params, key)
-    side_info = FRAME_HEADER_BITS + cmap.bit_length
-    payload_room = max(0, room - side_info)
-    if room < side_info:
-        quality = None
-    elif state is not None and not state.measure_psnr:
-        quality = math.nan
-    else:
+    rec = _record(params, stats, after_count, room, cmap, a.size)
+    if rec.psnr_db is not None and (state is None or state.measure_psnr):
         if state is not None:
             out = state.output(params, key)
-        payload = _payload_for_report(payload_room, params.t_even, params.t_odd)
-        marked = _embed_frame(out, cmap, room, payload, params, a)
-        quality = psnr(a, marked)
-    return _record(params, stats, after_count, cmap.bit_length, payload_room / a.size, quality)
+        payload = _payload_for_report(round(rec.r_emb * a.size), params.t_even, params.t_odd)
+        rec.psnr_db = psnr(a, _embed_frame(out, cmap, room, payload, params, a))
+    return rec
 
 
-def _record(params, stats, after_count, map_bits, r_emb, quality):
-    """A cell's SweepRecord from the cover's stats and the cell's numbers;
-    map_bits is None for a cell whose map was not coded."""
+def _record(params, stats, after_count, room, cmap, size):
+    """A cell's SweepRecord from the cover's stats and pixel count (size)
+    and the cell's boundary count after, room and coded map. r_emb is the
+    room left after the header and the map, per pixel; psnr_db is NaN where
+    the frame fits, for the caller to measure, and None where it does not.
+    cmap is None for a cell whose map was not coded: its map_bits_after,
+    r1, r_emb and psnr_db are None."""
     before_count, before_bits = stats
     defined = before_count > 0
+    map_bits = r1 = r_emb = quality = None
+    if cmap is not None:
+        map_bits = cmap.bit_length
+        r1 = 100.0 * map_bits / before_bits if defined else None
+        r_emb = max(0, room - FRAME_HEADER_BITS - map_bits) / size
+        quality = math.nan if room >= FRAME_HEADER_BITS + map_bits else None
     return SweepRecord(
-        t_even=params.t_even,
-        t_odd=params.t_odd,
-        boundary_before=before_count,
-        boundary_after=after_count,
-        map_bits_before=before_bits,
-        map_bits_after=map_bits,
+        t_even=params.t_even, t_odd=params.t_odd,
+        boundary_before=before_count, boundary_after=after_count,
+        map_bits_before=before_bits, map_bits_after=map_bits,
         r0=100.0 * after_count / before_count if defined else None,
-        r1=100.0 * map_bits / before_bits if defined and map_bits is not None else None,
-        r_emb=r_emb,
-        psnr_db=quality,
+        r1=r1, r_emb=r_emb, psnr_db=quality,
     )
 
 
@@ -323,8 +322,9 @@ def _pick_only(a, cells, state, thresholds):
     far, or tie it from an earlier cell than the pick's. The pick is the
     first cell of the best payload room in sweep order, or the grid's first
     cell when no cell has a positive one, as max over the full records
-    gives. The pick and every cell of a coded key get the full sweep's
-    record, the others one without a map."""
+    gives. The pick's record is evaluate_cell's; every other cell's is
+    _record's from the table of what was measured and coded: the full
+    sweep's where its key's map was coded, one without a map elsewhere."""
     measured = []
     for t_even in thresholds:
         measured += state.measure_pass(t_even, thresholds)
@@ -343,11 +343,11 @@ def _pick_only(a, cells, state, thresholds):
         payload = room - FRAME_HEADER_BITS - cmap.bit_length
         if payload > best or (payload == best and i < pick):
             best, pick = payload, i
-    records = []
-    for i, (params, (key, after_count, _, _)) in enumerate(zip(cells, measured)):
-        if i == pick or key in state.maps:
-            records.append(evaluate_cell(a, params, state))
-        else:
-            records.append(_record(params, state.stats, after_count, None, None, None))
-    records[pick].selected = True
+    # the pick first: evaluating it codes its key's map if pruning did not,
+    # which the records of the other cells of that key then read
+    picked = evaluate_cell(a, cells[pick], state)
+    records = [_record(params, state.stats, count, room, state.maps.get(key), a.size)
+               for params, (key, count, room, _) in zip(cells, measured)]
+    records[pick] = picked
+    picked.selected = True
     return records

@@ -169,9 +169,13 @@ MUTANTS = [
            "        return int(np.count_nonzero((errors == 0) | (errors == 1)))",
            "capacity counts the carriers embed uses: errors 0 and -1"),
     Mutant("zero-payload-room", "src/boundshift/pipeline.py",
-           "    payload_room = max(0, room - side_info)",
-           "    payload_room = room - side_info",
+           "max(0, room - FRAME_HEADER_BITS - map_bits)",
+           "(room - FRAME_HEADER_BITS - map_bits)",
            "a cell whose side information does not fit has zero payload room"),
+    Mutant("record-fit-rule", "src/boundshift/pipeline.py",
+           "if room >= FRAME_HEADER_BITS + map_bits else None",
+           "if room > FRAME_HEADER_BITS + map_bits else None",
+           "a frame that fills a cell's room exactly fits: its record has a PSNR"),
     Mutant("frame-length-test", "src/boundshift/formats.py",
            "    if need > stream.size:",
            "    if need >= stream.size:",
@@ -189,9 +193,8 @@ MUTANTS = [
            "    mse = sse / (x.size + 1)",
            "PSNR divides the squared error by the pixel count"),
     Mutant("r1-denominator", "src/boundshift/pipeline.py",
-           "        r1=100.0 * map_bits / before_bits if defined and map_bits is not None else None,",
-           "        r1=100.0 * map_bits / max(before_bits, 1) if defined and map_bits is not None "
-           "else None,",
+           "        r1 = 100.0 * map_bits / before_bits if defined else None",
+           "        r1 = 100.0 * map_bits / max(before_bits, 1) if defined else None",
            "r1 is the map's bits over the baseline map's",
            equivalent="r1 is computed only for a cover with a boundary pixel, whose "
                       "baseline map codes to at least one bit"),

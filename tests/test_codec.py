@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -473,6 +474,19 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
     monkeypatch.setattr(codec, "_encode", encode)
     monkeypatch.setattr(codec, "_decode", decode)
     assert serialize_map(compress(GOLDEN_MAP)) == GOLDEN_BYTES
+
+
+def test_kernel_decode_raises_memory_error_when_the_kernel_has_no_memory():
+    # a stand-in library: its bs_decode reports no memory, which a real
+    # kernel does only when malloc fails, so there is no buffer to free
+    freed = []
+    lib = types.SimpleNamespace(bs_encode=lambda *args: 0,
+                                bs_decode=lambda *args: codec._KERNEL_NO_MEMORY,
+                                bs_free=lambda buf: freed.append(buf))
+    _, decode = codec._kernel_coder(lib)
+    with pytest.raises(MemoryError, match="no memory for the decoded map"):
+        decode(GOLDEN_BYTES[-2:], 16, 6, 3)
+    assert freed == []
 
 
 @needs_kernel

@@ -144,9 +144,17 @@ def _check_pick_only(cover, t_range, shift, expected):
     the oracle has a value); a pruned record has no map bits, r1, r_emb or
     PSNR, its room less the header and its map's floor is at or below the
     pick's payload room, and its oracle payload room is below the pick's or
-    ties it from a later cell."""
+    ties it from a later cell. Cells of one key (_ForwardCache.key) get one
+    record but for their thresholds and the selected flag."""
     picked = sweep(cover, t_range, shift, measure_psnr=False)
     assert len(picked) == len(expected)
+    passes = preprocess._ForwardCache(cover, shift)
+    shared = {}
+    for rec in picked:
+        key = passes.key(PreprocessParams(shift, rec.t_even, rec.t_odd))
+        # repr, as NaN equals nothing
+        rest = repr(dataclasses.replace(rec, t_even=0, t_odd=0, selected=False))
+        assert shared.setdefault(key, rest) == rest
     assert [rec.selected for rec in picked] == [want.selected for want in expected]
     [pick] = [i for i, want in enumerate(expected) if want.selected]
     best = round(expected[pick].r_emb * cover.size)
@@ -360,9 +368,10 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
         assert len(records) == 256
         # the cover once; a full sweep then each even pass once and each
         # cell's capacity, which a cell's embed, if it makes one, reuses; a
-        # pick-only sweep each distinct even pass at most three times (its
-        # prediction, its capacity and once more for the records) and once
-        # more per map it codes
+        # pick-only sweep each distinct even pass twice (its prediction and
+        # its capacity), then again for the keys it codes out of sweep order
+        # and for the pick's key, which the bound allows once per pass and
+        # once per map it codes
         if measure_psnr:
             assert len(predictions) <= 1 + 16 + 256
         else:
@@ -418,6 +427,7 @@ def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fre
 def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, measure_psnr):
     counts = {"odd passes": 0, "capacity": 0}
     coded = []
+    cells = []
     apply_pass = preprocess._apply_pass
 
     def counted_pass(grid, pred, parity, *args):
@@ -427,6 +437,9 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
     monkeypatch.setattr(preprocess, "_apply_pass", counted_pass)
     compress = pipeline.compress
     monkeypatch.setattr(pipeline, "compress", lambda locmap: coded.append(1) or compress(locmap))
+    evaluate_cell = pipeline.evaluate_cell
+    monkeypatch.setattr(pipeline, "evaluate_cell",
+                        lambda *args: cells.append(args[1]) or evaluate_cell(*args))
 
     def run(cover):
         embedder_ = fresh_embedder()
@@ -439,17 +452,24 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
         monkeypatch.setattr(embedder_, "capacity", counted_capacity)
         counts.update(dict.fromkeys(counts, 0))
         coded.clear()
+        cells.clear()
         return sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
 
-    # no threshold up to 16 moves a pixel: one cell, evaluated once
+    # no threshold up to 16 moves a pixel: one cell, evaluated once; a full
+    # sweep records each cell through evaluate_cell, a pick-only sweep only
+    # the pick, and reads the others off its table
     assert len(run(smooth_image(9, 32, 32))) == 256
     assert counts == {"odd passes": 1, "capacity": 1}
+    assert len(cells) == (256 if measure_psnr else 1)
 
     # on blobs, the thresholds move few distinct sets of pixels; the cells
     # of t_odd 1 do not fit, so no PSNR embed follows a cell of another key
     cover = _blobs(default_rng(10), 64, 64, 0.45)
     records = run(cover)
     monkeypatch.undo()
+    [pick] = [rec for rec in records if rec.selected]
+    want = records if measure_psnr else [pick]
+    assert cells == [PreprocessParams(1, rec.t_even, rec.t_odd) for rec in want]
     distinct = set()
     for t_even in range(1, 17):
         for t_odd in range(1, 17):
