@@ -28,53 +28,47 @@ def _with_even(grid, delta):
     return out
 
 
-def _carrier_changes(grid, cells, index, step, size):
-    """How capacity(grid) changes when odd cells change: cells are flat
-    positions, each changed by step from index (in [0, size)) on. Returns
-    for each index 0..size-1 the change in carriers against grid.
-
-    Only even cells next to a changed odd cell can change. Every value lies
-    in [1, 254], so an even cell of value E whose n neighbours sum to S is
-    predicted (2S + n) // 2n, on the border ring and inside alike, and is a
-    carrier iff that is E or E + 1: iff n(2E - 1) <= 2S < n(2E + 3). The
-    changes are sorted by (even cell, index), so each one's running sum is
-    the cell's neighbour sum from then on; changes of one cell at one index
-    telescope."""
+def _pass_rooms(table, grid, cells, index, step, size):
+    """capacity(grid) for each index 0..size-1 as odd cells change: cells
+    are flat positions, each changed by step from index (in [0, size)) on;
+    table holds 16 S + n at each even cell, S the sum of its n in-grid
+    neighbours in grid. Only even cells next to a changed odd cell change.
+    The changes are sorted by (even cell, index), so each one's running sum
+    is the cell's neighbour sum from then on; changes of one cell at one
+    index telescope."""
+    room = sum(int(np.count_nonzero(_carries(table[i::2, i::2], grid[i::2, i::2])))
+               for i in (0, 1))
     changed = np.flatnonzero(step)
     if not changed.size:
-        return np.zeros(size, dtype=int)
+        return np.full(size, room)
     h, w = grid.shape
-    # the grid inside a ring of zeros, of row stride s; a cell inside holds
-    # 16 times its value plus 1, so four neighbours sum to 16 S + n
-    s = w + 2
-    ring = np.zeros((h + 2, s), dtype=np.int32)
-    inside = ring[1:-1, 1:-1]
-    np.left_shift(grid, 4, out=inside, dtype=np.int32)
-    inside += 1
     cells = cells[changed]
-    near = (cells + 2 * (cells // w) + s + 1)[:, None] + np.array([-s, s, -1, 1])
-    at, delta = np.repeat(index[changed], 4), np.repeat(step[changed], 4)
-    keep = np.flatnonzero(ring.ravel()[near.ravel()])
-    near, at = near.ravel()[keep], at[keep]
+    row, col = np.divmod(cells, w)
+    # each changed cell's four neighbours, less those off the grid, one row
+    # per direction: cells are sorted, so the stable sort merges four runs
+    keep = np.flatnonzero(np.stack((row > 0, row < h - 1, col > 0, col < w - 1)))
+    near = (np.array([-w, w, -1, 1])[:, None] + cells).ravel()[keep]
+    at, delta = np.tile(index[changed], 4)[keep], np.tile(step[changed], 4)[keep]
     order = np.argsort(near * size + at, kind="stable")
-    near, at, delta = near[order], at[order], delta[keep][order].astype(np.int32)
-    first = np.empty(near.size, dtype=bool)
-    first[0] = True
-    np.not_equal(near[1:], near[:-1], out=first[1:])
-    start = np.flatnonzero(first)
+    near, at, delta = near[order], at[order], delta[order].astype(np.int32)
+    # each even cell's first change
+    start = np.flatnonzero(np.concatenate(([True], near[1:] != near[:-1])))
     # the running sum of each even cell's changes, from 0 at its first
     total = np.cumsum(delta)
     total -= np.repeat(total[start] - delta[start], np.diff(start, append=near.size))
-    ring = ring.ravel()
-    packed = ring[near - s] + ring[near + s] + ring[near - 1] + ring[near + 1]
-    n = packed & 15
-    twice = 2 * ((packed >> 4) + total)
-    value = 2 * (ring[near] >> 4)
-    low, high = n * (value - 1), n * (value + 3)
-    # twice the neighbour sum after each change, and before it
-    twice = np.stack((twice, twice - 2 * delta))
-    carrier = ((low <= twice) & (twice < high)).view(np.int8)
-    return np.cumsum(np.bincount(at, carrier[0] - carrier[1], size)).astype(int)
+    # 16 S + n after each change, and before it
+    packed = table.ravel()[near] + 16 * np.stack((total, total - delta))
+    carrier = _carries(packed, grid.ravel()[near]).view(np.int8)
+    return room + np.cumsum(np.bincount(at, carrier[0] - carrier[1], size)).astype(int)
+
+
+def _carries(packed, value):
+    """Whether even cells of values E, their n neighbours summing to S
+    (packed: 16 S + n), are carriers. With every value in [1, 254] one is
+    predicted (2S + n) // 2n, on the border ring and inside alike, so it is
+    iff that is E or E + 1: iff n(2E - 1) <= 2S < n(2E + 3)."""
+    n, twice, value = packed & 15, 2 * (packed >> 4), 2 * value.astype(np.int16)
+    return (n * (value - 1) <= twice) & (twice < n * (value + 3))
 
 
 class PredictionErrorEmbedder:

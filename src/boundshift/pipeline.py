@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import _floors, compress, compress_binary_baseline, decompress
-from .embedder import PredictionErrorEmbedder, _carrier_changes
+from .embedder import PredictionErrorEmbedder, _pass_rooms
 from .errors import CapacityError, CorruptionError, ValidationError
 from .formats import FRAME_HEADER_BITS, check_frame, deframe_payload, frame_crc, frame_payload
 from .imagecore import (as_bits, as_flag, as_gray, check_param, count_boundary_pixels, psnr,
@@ -159,7 +159,8 @@ class _SweepState:
     holds a fixed number of images, whatever the grid size, so a map coded
     after other cells ran recomputes its forward output. measure_psnr says
     whether a cell that fits embeds a payload to measure its PSNR; a state
-    without it only picks (_pick_only)."""
+    without it only picks (_pick_only): measure_pass reads each even pass's
+    rooms off one table of the clamped cover, whose odd cells no even pass moves."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
@@ -170,25 +171,35 @@ class _SweepState:
         self.measured = {}
         self.maps = {}
         self.last = (None, None)
+        # 16 S + n per cell, S the sum of its n in-grid neighbours (_pass_rooms),
+        # at most 16 * 4 * 254 + 4: int16 holds it
+        ring = np.pad(np.clip(a, shift, 255 - shift).astype(np.int16) * 16 + 1, 1)
+        self.table = ring[:-2, 1:-1] + ring[2:, 1:-1] + ring[1:-1, :-2] + ring[1:-1, 2:]
+        # even cells moved: the rows of its pass; (t_even, t_odd): the key
+        self.rows, self.keys = {}, {}
 
     def measure_pass(self, t_even, thresholds):
-        """(key, boundary count after, room, map floor) of the cell of t_even
-        and each t_odd of thresholds (sorted), in one step per distinct even
-        pass: the clamped even pass with no odd cell moved gives a count, a
-        room and the clamped cells, and the odd cells that first move at each
-        t_odd (_ForwardCache.odd_steps) change them from there on."""
-        keys = self.passes.keys(t_even, thresholds)
-        if any(key not in self.measured for key in keys):
+        """The rows (key, boundary count after, room, map floor) of the cell
+        of t_even and each t_odd of thresholds (sorted, the same each call),
+        in one step per distinct even pass, named by the even cells it moves:
+        the clamped pass with no odd cell moved gives a count, a room and the
+        clamped cells, and the odd cells that first move at each t_odd
+        (_ForwardCache.odd_steps) change them, and the key, from there on."""
+        even = self.passes.moved(0, t_even)
+        if even not in self.rows:
             grid, marked, moved, index, step, flip = self.passes.odd_steps(t_even, thresholds)
             size = len(thresholds)
+            odds = np.cumsum(np.bincount(index, minlength=size)).tolist()
             flips = np.cumsum(np.bincount(index, flip, size)).astype(int)
             counts = np.count_nonzero(marked) + flips
-            rooms = _EMBEDDER.capacity(grid) + _carrier_changes(grid, moved, index, step, size)
+            rooms = _pass_rooms(self.table, grid, moved, index, step, size)
             floors = _floors(grid.size, 2 * self.passes.shift + 1, marked, moved, index, flip,
                              counts)
-            for key, count, room, floor in zip(keys, counts.tolist(), rooms.tolist(), floors):
-                self.measured[key] = (count, room, floor)
-        return [(key, *self.measured[key]) for key in keys]
+            for odd, *row in zip(odds, counts.tolist(), rooms.tolist(), floors):
+                self.measured[even, odd] = tuple(row)
+            self.rows[even] = [((even, odd), *self.measured[even, odd]) for odd in odds]
+        self.keys.update(((t_even, t), row[0]) for t, row in zip(thresholds, self.rows[even]))
+        return self.rows[even]
 
     def evaluate(self, params, key):
         """(boundary count after, room, coded map) of a cell of this key, from
@@ -234,7 +245,8 @@ def evaluate_cell(cover, params, state=None):
         raise ValidationError("state was built for another cover or shift width")
     else:
         stats = state.stats
-        key = state.passes.key(params)
+        # read off the rows of a pick-only sweep, or found as a full one does
+        key = state.keys.get((params.t_even, params.t_odd)) or state.passes.key(params)
         after_count, room, cmap = state.evaluate(params, key)
     rec = _record(params, stats, after_count, room, cmap, a.size)
     if rec.psnr_db is not None and (state is None or state.measure_psnr):

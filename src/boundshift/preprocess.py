@@ -108,7 +108,8 @@ class _ForwardCache:
     moves as many even cells as the kept one reuses it, and key gives each
     cell the pair of counts that fixes its output. The counts come from a
     histogram of each prediction grid, built on first use, so a single
-    forward builds none."""
+    forward builds none; odd_steps' first indices give a pass's odd counts
+    with no histogram of its prediction."""
 
     def __init__(self, cover, shift):
         self.shift = shift
@@ -122,7 +123,7 @@ class _ForwardCache:
         # 255 at the even cells and 0 at the odd ones, built on first use
         self.even_high = None
 
-    def _moved(self, parity, t):
+    def moved(self, parity, t):
         """How many cells of the parity a pass of threshold t moves."""
         if self.bands[parity] is None:
             pred = self.cover_pred if parity == 0 else self.even_pred
@@ -139,7 +140,7 @@ class _ForwardCache:
         """Bring the kept even pass to t_even's, predicting it only when it
         moves another set of cells than the kept one."""
         if t_even != self.t_even and (
-                self.t_even is None or self._moved(0, t_even) != self._moved(0, self.t_even)):
+                self.t_even is None or self.moved(0, t_even) != self.moved(0, self.t_even)):
             self.pass_even = _apply_pass(self.cover, self.cover_pred, 0, t_even, self.shift, +1)
             self.even_pred = predict_grid(self.pass_even)
             self.bands[1] = None
@@ -149,14 +150,7 @@ class _ForwardCache:
         """(even cells moved, odd cells moved): cells with equal keys have
         equal shifted images and maps; params must be of this shift width."""
         self._even(params.t_even)
-        return self._moved(0, params.t_even), self._moved(1, params.t_odd)
-
-    def keys(self, t_even, thresholds):
-        """The key of the cell of t_even and each t_odd of thresholds, read
-        as key reads one."""
-        self._even(t_even)
-        even = self._moved(0, t_even)
-        return [(even, self._moved(1, t_odd)) for t_odd in thresholds]
+        return self.moved(0, params.t_even), self.moved(1, params.t_odd)
 
     def forward(self, params):
         """Even pass (kept while the cells it moves repeat), odd pass, then

@@ -102,14 +102,24 @@ MUTANTS = [
            "np.where(pred.ravel()[cells] <= 125, t, -t)",
            "an odd cell predicted 126, which t_odd 127 moves, moves up"),
     Mutant("carrier-upper-bound", "src/boundshift/embedder.py",
-           "    carrier = ((low <= twice) & (twice < high)).view(np.int8)",
-           "    carrier = ((low <= twice) & (twice <= high)).view(np.int8)",
+           "(twice < n * (value + 3))",
+           "(twice <= n * (value + 3))",
            "an even cell predicted E + 2 is no carrier: 2S < n(2E + 3)"),
     Mutant("carrier-border-count", "src/boundshift/embedder.py",
-           "    n = packed & 15",
-           "    n = 4",
+           "    n, twice, value = packed & 15,",
+           "    n, twice, value = 4,",
            "an even cell on the border ring is predicted from its two or three "
            "neighbours, not four"),
+    Mutant("table-of-the-unclamped-cover", "src/boundshift/pipeline.py",
+           "np.pad(np.clip(a, shift, 255 - shift).astype(np.int16)",
+           "np.pad(a.astype(np.int16)",
+           "the rooms' neighbour sums are over the clamped cover, whose odd cells are "
+           "those of every even pass's clamped image"),
+    Mutant("odd-key-off-by-one", "src/boundshift/pipeline.py",
+           "np.cumsum(np.bincount(index, minlength=size))",
+           "np.cumsum(np.bincount(index + 1, minlength=size))",
+           "the odd count of the key of thresholds[j] counts the odd cells of first "
+           "index at most j, not below j"),
     Mutant("floors-late-bound", "src/boundshift/codec.py",
            "    bound = _LATE + counts",
            "    bound = counts",
@@ -184,6 +194,27 @@ MUTANTS = [
            "    if magic != FRAME_MAGIC:",
            "    if False:",
            "a stream whose first byte is not the frame magic is refused"),
+    Mutant("frame-version-check", "src/boundshift/formats.py",
+           "    if row is None:",
+           "    if False:",
+           "a frame of a version with no header row is refused as corrupt"),
+    Mutant("frame-declared-length-check", "src/boundshift/formats.py",
+           "    if need > stream.size:",
+           "    if False:",
+           "a frame that declares more map and payload bits than the stream holds is "
+           "refused"),
+    Mutant("map-truncation-check", "src/boundshift/formats.py",
+           "    if len(buf) < end:",
+           "    if False:",
+           "an LM container shorter than its declared bit length is refused as truncated"),
+    Mutant("map-trailing-data-check", "src/boundshift/formats.py",
+           "    if end != len(buf):",
+           "    if False:",
+           "an LM container with bytes past its declared bit length is refused"),
+    Mutant("side-file-header-length-check", "src/boundshift/formats.py",
+           "    if len(buf) < _SIDE_FILE_HEADER.size:",
+           "    if False:",
+           "an LP side file shorter than its header is refused as corrupt"),
     Mutant("side-file-magic-check", "src/boundshift/formats.py",
            "    if magic != SIDE_FILE_MAGIC:",
            "    if False:",

@@ -57,13 +57,16 @@ def test_container_round_trip():
 
 def test_container_errors():
     good = serialize_map(compress(GOLDEN_MAP))
-    with pytest.raises(CorruptionError):
-        deserialize_map(good[:10])                     # truncated payload
-    with pytest.raises(CorruptionError):
+    # each by its own check: a truncated payload would otherwise still be
+    # refused, as a malformed map; the golden container has a 15-byte header
+    # and 2 bytes of payload
+    with pytest.raises(CorruptionError, match="truncated map container"):
+        deserialize_map(good[:-1])                     # truncated payload
+    with pytest.raises(CorruptionError, match="trailing data"):
         deserialize_map(good + b"x")                   # trailing garbage
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match="bad map container magic"):
         deserialize_map(b"XX" + good[2:])              # bad magic
-    with pytest.raises(CorruptionError):
+    with pytest.raises(CorruptionError, match="shorter than its header"):
         deserialize_map(good[:3])                      # shorter than header
 
 

@@ -355,7 +355,11 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     for module in (preprocess, embedder, pipeline):
         if hasattr(module, "predict_grid"):
             monkeypatch.setattr(module, "predict_grid", count(predictions, module.predict_grid))
-    monkeypatch.setattr(pipeline, "compress", count(coded, pipeline.compress))
+    # the predictions made before each map is coded
+    before = []
+    compress = count(coded, pipeline.compress)
+    monkeypatch.setattr(pipeline, "compress",
+                        lambda locmap: before.append(len(predictions)) or compress(locmap))
 
     cover = _pooled_field(default_rng(12), 32, 32, 40, 45)
     passes = preprocess._ForwardCache(cover, 1)
@@ -364,18 +368,21 @@ def test_sweep_predicts_and_codes_each_distinct_thing_once(monkeypatch):
     for measure_psnr in (True, False):
         predictions.clear()
         coded.clear()
+        before.clear()
         records = sweep(cover, range(1, 17), 1, measure_psnr=measure_psnr)
         assert len(records) == 256
         # the cover once; a full sweep then each even pass once and each
         # cell's capacity, which a cell's embed, if it makes one, reuses; a
-        # pick-only sweep each distinct even pass twice (its prediction and
-        # its capacity), then again for the keys it codes out of sweep order
-        # and for the pick's key, which the bound allows once per pass and
-        # once per map it codes
+        # pick-only sweep each distinct even pass once, its rooms and the
+        # pick's key read off what the sweep shares, then again for the keys
+        # it codes out of sweep order, which the bound allows once per map
         if measure_psnr:
             assert len(predictions) <= 1 + 16 + 256
         else:
-            assert len(predictions) <= 1 + 3 * even_passes + len(coded)
+            assert len(predictions) <= 1 + even_passes + len(coded)
+            # before the first map is coded: the cover, each distinct even
+            # pass once, and at most that map's even pass again
+            assert before[0] <= 2 + even_passes
         codings[measure_psnr] = list(coded)
 
     monkeypatch.undo()
@@ -425,16 +432,22 @@ def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fre
 
 @pytest.mark.parametrize("measure_psnr", [True, False])
 def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, measure_psnr):
-    counts = {"odd passes": 0, "capacity": 0}
+    counts = {"odd passes": 0, "capacity": 0, "odd steps": 0}
     coded = []
     cells = []
     apply_pass = preprocess._apply_pass
+    odd_steps = preprocess._ForwardCache.odd_steps
 
     def counted_pass(grid, pred, parity, *args):
         counts["odd passes"] += parity == 1
         return apply_pass(grid, pred, parity, *args)
 
+    def counted_steps(*args):
+        counts["odd steps"] += 1
+        return odd_steps(*args)
+
     monkeypatch.setattr(preprocess, "_apply_pass", counted_pass)
+    monkeypatch.setattr(preprocess._ForwardCache, "odd_steps", counted_steps)
     compress = pipeline.compress
     monkeypatch.setattr(pipeline, "compress", lambda locmap: coded.append(1) or compress(locmap))
     evaluate_cell = pipeline.evaluate_cell
@@ -457,9 +470,11 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
 
     # no threshold up to 16 moves a pixel: one cell, evaluated once; a full
     # sweep records each cell through evaluate_cell, a pick-only sweep only
-    # the pick, and reads the others off its table
+    # the pick, and reads the others off its table; a pick-only sweep
+    # measures its one even pass in one step, with no capacity
     assert len(run(smooth_image(9, 32, 32))) == 256
-    assert counts == {"odd passes": 1, "capacity": 1}
+    assert counts == {"odd passes": 1, "capacity": int(measure_psnr),
+                      "odd steps": int(not measure_psnr)}
     assert len(cells) == (256 if measure_psnr else 1)
 
     # on blobs, the thresholds move few distinct sets of pixels; the cells
@@ -477,16 +492,19 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
             distinct.add((out.shifted.tobytes(), out.locmap.symbols.tobytes()))
     assert 1 < len(distinct) < 256
     if measure_psnr:
-        assert counts == {"odd passes": len(distinct), "capacity": len(distinct)}
+        assert counts == {"odd passes": len(distinct), "capacity": len(distinct),
+                          "odd steps": 0}
     else:
-        # one capacity per distinct even pass, which measures all its cells
-        # at once; an odd pass only for each key whose map the pick codes
+        # one step per distinct even pass, which measures all its cells at
+        # once, and no capacity; an odd pass only for each key whose map the
+        # pick codes
         passes = preprocess._ForwardCache(cover, 1)
         even_passes = {passes.key(PreprocessParams(1, t, 1))[0] for t in range(1, 17)}
         coded_keys = {passes.key(PreprocessParams(1, rec.t_even, rec.t_odd))
                       for rec in records if rec.map_bits_after is not None}
         assert len(even_passes) < len(distinct)
-        assert counts["capacity"] == len(even_passes)
+        assert counts["capacity"] == 0
+        assert counts["odd steps"] == len(even_passes)
         assert 0 < len(coded) <= counts["odd passes"] == len(coded_keys)
 
 
@@ -639,3 +657,9 @@ def test_odd_steps_match_the_per_cell_chain_at_128x128(kind):
     cover = (_pooled_field(rng, 128, 128, 40, 45) if kind == "dark"
              else _blobs(rng, 128, 128, 0.45))
     _check_odd_steps(cover, range(1, 17), 1)
+
+
+def test_odd_steps_match_the_per_cell_chain_at_256x256():
+    # a dark cover larger than those above, where more odd cells move per
+    # even pass and its rooms change in more even cells
+    _check_odd_steps(_pooled_field(default_rng(61), 256, 256, 40, 45), range(1, 17), 1)
