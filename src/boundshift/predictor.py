@@ -12,6 +12,8 @@ of the neighbors' sum; only the border ring (two or three neighbors, or one
 on a single-row or single-column grid) divides by its true count.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ValidationError
@@ -20,6 +22,23 @@ from .errors import ValidationError
 # of three neighbors plus its count is at most 2 * 3 * 4096 + 3 = 24,579, and
 # four neighbors plus the rounding offset 4 * 4096 + 2.
 _LIMIT = 1 << 12
+
+
+@lru_cache(maxsize=16)
+def _ring(h, w):
+    """The border ring of an h x w grid in predict_grid's layout, rows w + 1
+    apart: (flat positions, neighbour counts, twice the counts), read-only.
+    Row 0 and row h - 1 have three neighbours a cell, columns 0 and w - 1 as
+    well, the corners two; a single row or column has one less everywhere."""
+    rows, cols = np.ogrid[:h, :w]
+    count = (rows > 0).astype(np.int16) + (rows < h - 1) + (cols > 0) + (cols < w - 1)
+    ring = np.flatnonzero(count < 4)
+    count = count.ravel()[ring]
+    # cell r * w + c of the grid sits at r * (w + 1) + c
+    layout = (ring + ring // w, count, 2 * count)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def predict_grid(img):
@@ -58,15 +77,17 @@ def predict_grid(img):
     total += flat[s - 1:s - 1 + n]
     total += flat[s + 1:s + 1 + n]
     grid = total.reshape(h, s)[:, :w]
-    # The border ring, row 0, row h-1, then columns 0 and w-1 between them:
-    # three neighbors each, two at the corners. A single row or column has
-    # one neighbor less everywhere, and its ring holds each cell twice.
-    ring = np.concatenate((grid[0], grid[-1], grid[1:-1, 0], grid[1:-1, -1]))
-    sides = 3 - (h == 1) - (w == 1)
-    count = np.full(ring.size, sides, dtype=np.int16)
-    count[[0, w - 1, w, 2 * w - 1]] = sides - 1
-    # ring / count rounded to the nearest integer, ties away from zero
-    ring = (2 * np.abs(ring) + count) // (2 * count) * np.sign(ring)
+    # The border ring, gathered before the interior is rounded: two or three
+    # neighbors a cell, one on a single row or column. Its mean rounds as
+    # (2 total + n) // 2n on a grid with no negative value, whose totals are
+    # all at least 0, and with the signs split off otherwise, so ties go
+    # away from zero.
+    at, count, twice = _ring(h, w)
+    ring = total[at]
+    if low < 0:
+        ring = (2 * np.abs(ring) + count) // twice * np.sign(ring)
+    else:
+        ring = (2 * ring + count) // twice
     # Inside, four neighbors: (total + 2) >> 2 rounds halves up, and one
     # less for a negative total (total + 2 < 2) rounds them down, so ties go
     # away from zero. Only a grid with a negative value has such totals.
@@ -74,6 +95,5 @@ def predict_grid(img):
     if low < 0:
         total -= total < 2
     total >>= 2
-    grid[0], grid[-1] = ring[:w], ring[w:2 * w]
-    grid[1:-1, 0], grid[1:-1, -1] = ring[2 * w:2 * w + h - 2], ring[2 * w + h - 2:]
+    total[at] = ring
     return grid

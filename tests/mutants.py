@@ -173,6 +173,25 @@ MUTANTS = [
            "interior predictions round halves away from zero",
            equivalent="a total of -1 rounds to 0 either way: (-1 + 2) >> 2 and "
                       "(-2 + 2) >> 2 are both 0"),
+    Mutant("predict-border-rounding", "src/boundshift/predictor.py",
+           "        ring = (2 * ring + count) // twice",
+           "        ring = (2 * ring) // twice",
+           "on a grid with no negative value a border cell's mean rounds halves up"),
+    # the report's payload
+    Mutant("report-payload-reuses-a-shorter-draw", "src/boundshift/pipeline.py",
+           "kept is not None and kept.size >= bit_count",
+           "kept is not None",
+           "a request longer than the kept report payload draws again: a slice of the "
+           "kept one would be short"),
+    Mutant("report-payload-ignores-the-pair", "src/boundshift/pipeline.py",
+           "pair == (t_even, t_odd) and kept is not None",
+           "kept is not None",
+           "a request for another threshold pair draws that pair's payload"),
+    Mutant("report-payload-keeps-the-callers-draw", "src/boundshift/pipeline.py",
+           "        _report_payload = ((t_even, t_odd), None)",
+           "        _report_payload = ((t_even, t_odd), bits)",
+           "a pair's first draw, which the caller may change, is not kept: only a "
+           "read-only draw is"),
     # the embedder and the frame
     Mutant("capacity-peak", "src/boundshift/embedder.py",
            "        return int(np.count_nonzero((errors == 0) | (errors == -1)))",
@@ -219,6 +238,19 @@ MUTANTS = [
            "    if magic != SIDE_FILE_MAGIC:",
            "    if False:",
            "a side file that does not start with LP is refused"),
+    Mutant("map-magic-check", "src/boundshift/formats.py",
+           "    if magic != MAP_MAGIC:",
+           "    if False:",
+           "an LM container that does not start with LM is refused"),
+    Mutant("map-header-length-check", "src/boundshift/formats.py",
+           "    if len(buf) < _CONTAINER_HEADER.size:",
+           "    if False:",
+           "an LM container shorter than its header is refused as corrupt"),
+    Mutant("header-parameter-check", "src/boundshift/formats.py",
+           '        raise CorruptionError(f"corrupt {what} parameters: {exc}") from exc',
+           "        raise",
+           "a frame or side file whose header holds invalid parameters is refused as "
+           "corrupt, not as invalid input"),
     Mutant("psnr-denominator", "src/boundshift/imagecore.py",
            "    mse = sse / x.size",
            "    mse = sse / (x.size + 1)",

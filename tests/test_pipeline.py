@@ -507,6 +507,37 @@ def test_evaluate_cell_psnr_none_when_side_info_too_big():
     assert rec.r_emb == 0.0
 
 
+def test_report_payload_is_the_pairs_fresh_draw_whatever_came_before(monkeypatch):
+    # a pair's first draw is the caller's own; a pair asked for again keeps
+    # its draw, read-only, slices it, and draws again only for more bits
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(pipeline, "_report_payload", (None, None))
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    calls = [(40, 1, 4), (1000, 1, 4), (17, 1, 4), (1000, 1, 4), (0, 1, 4), (1001, 1, 4),
+             (300, 2, 4), (100, 2, 4), (300, 4, 1), (0, 3, 3), (64, 3, 3), (10, 3, 3),
+             (5, 1, 4)]
+    writeable = []
+    for bit_count, t_even, t_odd in calls:
+        bits = pipeline._payload_for_report(bit_count, t_even, t_odd)
+        fresh = default_rng((1, t_even, t_odd)).integers(0, 2, bit_count, dtype=np.uint8)
+        assert bits.dtype == np.uint8 and bits.tolist() == fresh.tolist()
+        writeable.append(bits.flags.writeable)
+        if bits.flags.writeable:
+            bits ^= 1  # the caller's own: changing it changes no later draw
+        else:
+            with pytest.raises(ValueError):
+                bits.flags.writeable = True
+    assert writeable == [True, False, False, False, False, False, True, False, True, True,
+                         False, False, True]
+    assert draws == [(1, 1, 4), (1, 1, 4), (1, 1, 4), (1, 2, 4), (1, 2, 4), (1, 4, 1),
+                     (1, 3, 3), (1, 3, 3), (1, 1, 4)]
+
+
 def test_deep_shift_widths_round_trip():
     cover = smooth_image(21, 48, 48)
     for shift in (2, 4, 16):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.random import default_rng
 
 from boundshift import ValidationError
-from boundshift.predictor import predict_grid
+from boundshift.predictor import _ring, predict_grid
 
 from oracle_predict import predict, round_half_away
 
@@ -131,6 +131,28 @@ def test_predict_grid_matches_oracle_on_skinny_and_odd_shapes(shape, dtype, lo, 
     assert grid.shape == img.shape and grid.dtype == np.int16
     for (i, j), p in np.ndenumerate(grid):
         assert p == predict(img, i, j), (i, j)
+
+
+def test_predict_grid_matches_oracle_as_ring_layouts_are_evicted_and_reused():
+    # more shapes than the cache of border layouts holds, each visited twice
+    # in shuffled order, so layouts are built, evicted, built again and
+    # reused; uint8 grids round the ring without signs, int16 grids with
+    # negative values with them
+    shapes = [(1, 2), (1, 7), (1, 13), (2, 1), (9, 1), (13, 1), (2, 2), (2, 3), (3, 2),
+              (3, 3), (4, 4), (5, 8), (8, 5), (7, 7), (2, 13), (13, 2), (6, 11), (11, 6),
+              (10, 10), (12, 3), (3, 12), (13, 13)]
+    rng = default_rng(8)
+    visits = [shapes[k] for k in rng.permutation(2 * len(shapes)) % len(shapes)]
+    _ring.cache_clear()
+    for shape in visits:
+        for dtype, lo, hi in [(np.uint8, 0, 255), (np.int16, -300, 300)]:
+            img = rng.integers(lo, hi + 1, shape).astype(dtype)
+            grid = predict_grid(img)
+            assert grid.tolist() == [[predict(img, i, j) for j in range(shape[1])]
+                                     for i in range(shape[0])], (shape, dtype)
+        assert not any(a.flags.writeable for a in _ring(*shape))
+    info = _ring.cache_info()
+    assert info.misses > len(shapes) and info.hits > 0 and info.currsize <= 16
 
 
 @pytest.mark.parametrize("scale, tie", [(1, -1), (3, -2)])

@@ -508,6 +508,14 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
         assert 0 < len(coded) <= counts["odd passes"] == len(coded_keys)
 
 
+def test_only_a_pick_only_state_builds_the_rooms_table():
+    # a full sweep measures each key with capacity and never reads the table
+    cover = _pooled_field(default_rng(9), 16, 16, 40, 45)
+    assert pipeline._SweepState(cover, 1).table is None
+    table = pipeline._SweepState(cover, 1, measure_psnr=False).table
+    assert table.shape == cover.shape and table.dtype == np.int16
+
+
 def _pools_with_seams(n=16):
     """A 0 pool over a 255 pool, each crossed by a checkerboard seam whose
     even cells hold the other extreme: at shift 3 the even pass moves those
