@@ -14,17 +14,39 @@
  * total == sum(freq), which gives exact shortcuts:
  * - encoding the last symbol: cum + freq[s] == total, so the new high is
  *   low + span * total / total - 1 == high, unchanged, and cum is
- *   total - freq[s] without the sum; only low's division is left;
- * - encoding symbol 0: cum == 0, so low is unchanged; only high's division
+ *   total - freq[s] without the sum; only low's quotient is left;
+ * - encoding symbol 0: cum == 0, so low is unchanged; only high's quotient
  *   is left;
  * - decoding, with x = (code - low + 1) * total - 1 and value = x / span,
  *   value >= c holds exactly when x >= c * span, for integers x >= 0,
  *   span >= 1 and c: x / span rounds down. So x >= (total - freq[last]) * span
  *   picks the last symbol by one multiplication in place of the value
- *   division, and only low's division is left. Any other symbol is found by
+ *   division, and only low's quotient is left. Any other symbol is found by
  *   the search from 0: only preprocessing maps are decoded, where symbol 0
  *   (a 0 pixel stepped down by t, or a 255 pixel up) is rare, so a
  *   symbol-0 test would cost the other symbols more than it saves.
+ *
+ * Each shortcut's one quotient, floor(span * c / total) with c < total, is
+ * scaled(): it takes r = floor(2**32 * c / total), q = (span * r) >> 32, and
+ * adds 1 to q where (q + 1) * total is still at most span * c. c and total
+ * come from the model alone, never from low or high, so the division runs
+ * ahead while the previous symbol renormalizes, and the interval waits only
+ * for a multiply, a shift and a multiply-compare (a division by a value
+ * known ahead of time made a multiplication, as in Granlund and Montgomery,
+ * PLDI 1994). It is exact in uint64_t. Write s = span, t = total and
+ * Q = floor(s * c / t), with 1 <= s <= 2**32 and c < t < 2**24. Then
+ * r < 2**32, so s * r < 2**64; 2**32 * c < 2**56; and
+ * (q + 1) * t <= s * c + t < 2**57. Multiplying
+ * 2**32 * c / t - 1 < r <= 2**32 * c / t by s / 2**32, which is at most 1,
+ * gives s * c / t - 1 < s * r / 2**32 <= s * c / t, so
+ * Q - 1 < s * r / 2**32 < Q + 1, and q, its floor, is Q - 1 or Q. It is
+ * Q - 1 exactly when (q + 1) * t = Q * t <= s * c, and Q when
+ * (q + 1) * t = (Q + 1) * t > s * c: the compare adds the missing 1. The
+ * general path keeps its plain divisions. There the decoder's cum comes
+ * from the search on value, which waits on the interval, and routing the
+ * general path through scaled() made decoding uniform alphabet-255 and
+ * alphabet-256 maps slower, not faster.
+ *
  * A decode fails only when the stream runs out, since for any input
  * low <= code <= high before each symbol, from the start (low 0, high 2**32 - 1,
  * code 32 bits); then 1 <= code - low + 1 <= span puts value in [0, total - 1],
@@ -42,6 +64,13 @@
 #define CAP 65536
 
 enum { BS_OK = 0, BS_EXHAUSTED = 2, BS_NO_MEMORY = 3 };
+
+/* floor(span * c / total), for span <= 2**32 and c < total < 2**24; the
+ * header proves it exact. */
+static inline uint64_t scaled(uint64_t span, uint64_t c, uint64_t total) {
+    uint64_t q = (span * ((c << 32) / total)) >> 32;
+    return q + ((q + 1) * total <= span * c);
+}
 
 static void model_init(uint32_t *freq, uint64_t *total, int alphabet) {
     for (int i = 0; i < alphabet; i++)
@@ -80,9 +109,9 @@ uint64_t bs_encode(const uint8_t *symbols, uint64_t n, int alphabet, uint8_t *ou
         int s = symbols[i];
         uint64_t span = (uint64_t)high - low + 1;
         if (s == last) {
-            low = (uint32_t)(low + span * (total - freq[s]) / total);
+            low = (uint32_t)(low + scaled(span, total - freq[s], total));
         } else if (s == 0) {
-            high = (uint32_t)(low + span * freq[0] / total - 1);
+            high = (uint32_t)(low + scaled(span, freq[0], total) - 1);
         } else {
             uint64_t cum = 0;
             for (int j = 0; j < s; j++)
@@ -136,7 +165,7 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
         int s;
         if (x >= (total - freq[last]) * span) {
             s = last;
-            low = (uint32_t)(low + span * (total - freq[last]) / total);
+            low = (uint32_t)(low + scaled(span, total - freq[last], total));
         } else {
             uint64_t value = x / span, cum = 0;
             s = 0;

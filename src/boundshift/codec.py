@@ -20,12 +20,16 @@ consumed in raster order. Everything is deterministic, so equal maps
 always produce byte-identical streams.
 
 _coder.c is the same two loops in C, with the same results bit for bit. It
-gives the symbols that dominate real maps exact shortcuts, each costing one
-division: encoding the last symbol (the clear symbol 2t) leaves high
+gives the symbols that dominate real maps exact shortcuts, each leaving one
+quotient: encoding the last symbol (the clear symbol 2t) leaves high
 unchanged, since cum + freq[s] == total, and encoding 0 (most of a binary
 boundary map) leaves low unchanged, since cum == 0; the decoder recognises
 the last symbol by comparing (code - low + 1) * total - 1 with its interval
 edge times span, which tests value against that edge without dividing.
+That one quotient multiplies span by a reciprocal of the model's counts and
+corrects the result, exact or one short, by a multiply-compare; the
+reciprocal's division reads the model alone, so it never waits on the
+interval. Other symbols divide as the loops do.
 On import it is compiled once per source CRC-32 into
 __pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops

@@ -280,6 +280,16 @@ MUTANTS = [
            "    if (freq[s] > CAP) {",
            "the compiled coder halves its counts once one reaches 2**16, as the Python "
            "coder does"),
+    Mutant("kernel-quotient-uncorrected", "src/boundshift/_coder.c",
+           "    return q + ((q + 1) * total <= span * c);",
+           "    return q;",
+           "the shortcuts' quotient through the reciprocal is exact or one short, and the "
+           "compare adds the missing 1"),
+    Mutant("kernel-quotient-strict-compare", "src/boundshift/_coder.c",
+           "(q + 1) * total <= span * c",
+           "(q + 1) * total < span * c",
+           "where span * c is a multiple of total and q is one short, (q + 1) * total "
+           "equals span * c: the compare admits equality"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -390,6 +390,21 @@ def test_kernel_codes_the_same_map_as_python(seed, kind, alphabet, h, w):
     assert KERNEL_CODER[1](maps[0].data, maps[0].bit_length, h * w, alphabet) == m.symbols.tobytes()
 
 
+@needs_kernel
+def test_kernel_codes_a_total_near_its_bound_as_pinned():
+    """A 768x768 uniform alphabet-256 map, whose model total reaches
+    15,743,360 (0.94 of 2**24) before its halvings: the widest operands the
+    kernel's quotients take. The hypothesis maps, at most 64x64, keep it at
+    most 256 + 32 * 4096, about 2**17. The pins are the Python loops'
+    stream, too slow to code it in this suite."""
+    symbols = default_rng(768).integers(0, 256, 768 * 768).astype(np.uint8)
+    cmap = CompressedMap(256, 768, 768, *KERNEL_CODER[0](symbols, 256))
+    assert cmap.bit_length == 4720798
+    assert (hashlib.sha256(serialize_map(cmap)).hexdigest()
+            == "2360723c92e1cb0982b7d580af45dd597c12e50786bb41fe778a60d4ea150f93")
+    assert KERNEL_CODER[1](cmap.data, cmap.bit_length, symbols.size, 256) == symbols.tobytes()
+
+
 def _decode_outcome(decode, cmap):
     try:
         return decode(cmap.data, cmap.bit_length, cmap.width * cmap.height, cmap.alphabet_size)
@@ -568,8 +583,10 @@ def test_kernel_compiles_without_warnings():
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
-    done = subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Wconversion", "-Werror",
-                           "-fsyntax-only", codec._KERNEL_SOURCE], capture_output=True, text=True)
+    # one portable spelling: ISO C99, no compiler extension such as __int128
+    done = subprocess.run([cc, "-O2", "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Wconversion",
+                           "-Werror", "-fsyntax-only", codec._KERNEL_SOURCE],
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr[-2000:]
 
 
