@@ -53,6 +53,38 @@
  * cum <= value < cum + freq[s] puts code in the symbol's sub-interval, and the
  * renormalization steps map all three alike (drop the shared top bit, or
  * subtract 2**30, then double), code's new bit between low's 0 and high's 1.
+ *
+ * bs_pass_step is the pick-only sweep's step per even pass, the loops of
+ * preprocess._ForwardCache.odd_steps and embedder._pass_rooms in one, with
+ * their outputs exactly (pipeline._SweepState.measure_pass reads them; the
+ * NumPy versions are the fallback and the reference the tests compare
+ * against). It takes the even pass (int16, h x w), its prediction, the
+ * sweep's table of 16 S + n per cell (S the sum of a cell's n in-grid
+ * neighbours in the clamped cover, whose odd cells are every pass's), the
+ * shift t and the thresholds as first[v], for v in 0..127, the first index
+ * of a threshold above v (size if none). One raster scan clamps each cell
+ * into [t, 255 - t] and marks those it changed; counts the even cells that
+ * are carriers (_carries' rule: n(2E - 1) <= 2S < n(2E + 3) for a clamped
+ * value E) for the base room; and lists each odd cell that some t_odd
+ * moves: predicted at p, from index first[min(p, 255 - p)] on (index 0 for
+ * a negative min: every threshold is at least 1), by +t if p <= 127 and -t
+ * otherwise, with its flat position, that index, the change of its clamped
+ * value (its step) and of whether it is clamped (its flip). The cells of a
+ * nonzero step are then bucketed by index, raster order kept, and applied
+ * index by index to a running sum per even cell next to them: each change
+ * adds the cell's carrier test after it less the one before it, so rooms[j]
+ * is the room once every change of index <= j is in.
+ *
+ * Every sum fits in int32_t. The even pass holds values in [-127, 382] and
+ * its prediction too, so min(p, 255 - p) lies in [-127, 127], which first
+ * covers once a negative one reads first[0]. With t >= 1 a clamped value
+ * lies in [1, 254], so a table entry 16 S + n is at most
+ * 16 * 4 * 254 + 4 = 16,260. A step is at most t <= 127 in size, since
+ * clamping does not widen a move of t, so a running sum, over at most 4
+ * neighbours, is at most 4 * 127 = 508 in size, and the packed sum
+ * 16 (S + sum) + n stays in [0, 16,260], as it is the table entry of a grid
+ * of clamped values. The carrier test's products are at most
+ * 4 * (2 * 254 + 3) = 2,044.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -223,4 +255,111 @@ int bs_decode(const uint8_t *data, uint64_t bit_length, uint64_t count, int alph
 
 void bs_free(uint8_t *buf) {
     free(buf);
+}
+
+/* Whether an even cell of clamped value value is a carrier, its n in-grid
+ * neighbours summing to S (packed: 16 S + n): embedder._carries. */
+static inline int32_t carries(int32_t packed, int32_t value) {
+    int32_t n = packed & 15, twice = 2 * (packed >> 4);
+    return n * (2 * value - 1) <= twice && twice < n * (2 * value + 3);
+}
+
+static inline int32_t clamp(int32_t v, int32_t low, int32_t high) {
+    return v < low ? low : v > high ? high : v;
+}
+
+/* Add step to the running sum of the even cell at e, and return how that
+ * changes whether it is a carrier. */
+static inline int32_t carrier_change(const int16_t *grid, const int16_t *table, int32_t *run,
+                                     uint64_t e, int32_t step, int32_t low, int32_t high) {
+    int32_t value = clamp(grid[e], low, high);
+    int32_t before = carries(table[e] + 16 * run[e], value);
+    run[e] += step;
+    return carries(table[e] + 16 * run[e], value) - before;
+}
+
+/* The step of one even pass of an h x w grid, n = h * w cells (the header
+ * gives the contract). Writes marked[n], the listed odd cells' cells, index
+ * and flip, *listed of them (at most n / 2), and rooms[size], for
+ * 1 <= size <= 127.
+ * *work is the scratch of the grid's passes: NULL before the first, which
+ * allocates it for n cells and returns BS_NO_MEMORY where it cannot, and
+ * kept for the later passes of grids of n cells, to be released with
+ * bs_free. Each pass leaves its running sums zeroed. */
+int bs_pass_step(const int16_t *grid, const int16_t *pred, const int16_t *table,
+                 uint64_t h, uint64_t w, int32_t shift, const uint8_t *first, int32_t size,
+                 uint8_t *marked, int64_t *cells, int64_t *index, int8_t *flip,
+                 int64_t *rooms, uint64_t *listed, void **work) {
+    uint64_t n = h * w, half = n / 2 + 1, m = 0, at = 0;
+    uint64_t start[128] = {0};
+    int32_t low = shift, high = 255 - shift;
+    int64_t room = 0;
+    if (*work == NULL) {
+        /* order, then the running sums, then the steps */
+        *work = calloc(1, half * sizeof(uint64_t) + n * sizeof(int32_t) + half * sizeof(int16_t));
+        if (*work == NULL)
+            return BS_NO_MEMORY;
+    }
+    uint64_t *order = *work;
+    int32_t *run = (int32_t *)(order + half);
+    int16_t *step = (int16_t *)(run + n);
+    for (uint64_t r = 0; r < h; r++) {
+        for (uint64_t c = 0; c < w; c++) {
+            uint64_t i = r * w + c;
+            int32_t v = grid[i], v_clamped = clamp(v, low, high);
+            marked[i] = v_clamped != v;
+            if (((r + c) & 1) == 0) {
+                room += carries(table[i], v_clamped);
+                continue;
+            }
+            int32_t p = pred[i], near = p < 255 - p ? p : 255 - p;
+            int32_t j = first[near < 0 ? 0 : near];
+            if (j >= size)
+                continue;
+            int32_t moved = v + (p <= 127 ? shift : -shift);
+            int32_t moved_clamped = clamp(moved, low, high);
+            cells[m] = (int64_t)i;
+            index[m] = j;
+            step[m] = (int16_t)(moved_clamped - v_clamped);
+            flip[m] = (int8_t)((moved_clamped != moved) - (v_clamped != v));
+            /* counted one index up, so the prefix sums below start each bucket */
+            start[j + 1] += step[m] != 0;
+            m++;
+        }
+    }
+    *listed = m;
+    for (int32_t j = 0; j < size; j++)
+        start[j + 1] += start[j];
+    /* each bucket filled in raster order; start[j] then ends bucket j */
+    for (uint64_t k = 0; k < m; k++)
+        if (step[k] != 0)
+            order[start[index[k]]++] = k;
+    for (int32_t j = 0; j < size; j++) {
+        for (; at < start[j]; at++) {
+            uint64_t k = order[at], e = (uint64_t)cells[k], r = e / w, c = e % w;
+            int32_t d = step[k];
+            if (r > 0)
+                room += carrier_change(grid, table, run, e - w, d, low, high);
+            if (r < h - 1)
+                room += carrier_change(grid, table, run, e + w, d, low, high);
+            if (c > 0)
+                room += carrier_change(grid, table, run, e - 1, d, low, high);
+            if (c < w - 1)
+                room += carrier_change(grid, table, run, e + 1, d, low, high);
+        }
+        rooms[j] = room;
+    }
+    /* start[size - 1] ends the last bucket */
+    for (at = 0; at < start[size - 1]; at++) {
+        uint64_t e = (uint64_t)cells[order[at]], r = e / w, c = e % w;
+        if (r > 0)
+            run[e - w] = 0;
+        if (r < h - 1)
+            run[e + w] = 0;
+        if (c > 0)
+            run[e - 1] = 0;
+        if (c < w - 1)
+            run[e + 1] = 0;
+    }
+    return BS_OK;
 }

@@ -35,6 +35,13 @@ __pycache__/_coder-<crc32>.so next to this file and loaded with ctypes;
 compress() and decompress() run it when it loads and the Python loops
 otherwise (no compiler, a read-only directory, a load error).
 
+The same library holds the pick-only sweep's step per even pass,
+bs_pass_step: the odd-cell scan of preprocess._ForwardCache.odd_steps and
+the rooms of embedder._pass_rooms in one C loop, with their outputs.
+_pass_step is its wrapper, made once per sweep (pipeline._SweepState) so
+its arrays and scratch serve every pass, or None where the kernel did not
+load, and the sweep then runs those two NumPy functions.
+
 _floors bounds the coded lengths of the maps of one even pass from below
 at once, without coding them, from the model alone (_floor_bits); the
 pick-only sweep skips the maps it rules out.
@@ -45,6 +52,7 @@ import itertools
 import math
 import os
 import tempfile
+import weakref
 import zlib
 from dataclasses import dataclass
 
@@ -225,7 +233,63 @@ def _kernel_coder(lib):
         finally:
             lib.bs_free(buf)
 
-    return encode, decode
+    lib.bs_pass_step.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+        ctypes.c_int32, ctypes.c_void_p, ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_uint64),
+        ctypes.POINTER(ctypes.c_void_p),
+    ]
+    lib.bs_pass_step.restype = ctypes.c_int
+
+    class PassStep:
+        """The kernel's step per even pass (bs_pass_step) for the passes of
+        one sweep, on grids of one shape: its output arrays and the
+        kernel's scratch are made once and reused by every pass, and the
+        scratch is released with the step. A call gives what odd_steps and
+        _pass_rooms give (marked, cells, index, flip, rooms), as views that
+        the next call overwrites."""
+
+        def __init__(self, shape):
+            self.shape = shape
+            n = shape[0] * shape[1]
+            self.marked = np.empty(n, dtype=bool)
+            # an h x w grid has n // 2 odd cells
+            self.cells = np.empty(n // 2, dtype=np.int64)
+            self.index = np.empty(n // 2, dtype=np.int64)
+            self.flip = np.empty(n // 2, dtype=np.int8)
+            self.rooms = np.empty(127, dtype=np.int64)
+            self.outputs = [a.ctypes.data for a in
+                            (self.marked, self.cells, self.index, self.flip, self.rooms)]
+            self.thresholds = self.first = None
+            self.listed = ctypes.c_uint64()
+            self.work = ctypes.c_void_p()
+            weakref.finalize(self, lib.bs_free, self.work)
+
+        def __call__(self, grid, pred, table, shift, thresholds):
+            """The step of the even pass grid (int16) predicted as pred, for
+            the table of 16 S + n and the sorted thresholds."""
+            if thresholds != self.thresholds:
+                # the first index of a threshold above each value 0..127
+                self.first = np.searchsorted(thresholds, np.arange(128), "right").astype(np.uint8)
+                self.thresholds = list(thresholds)
+            grid, pred, table = (np.ascontiguousarray(a, dtype=np.int16)
+                                 for a in (grid, pred, table))
+            size = len(thresholds)
+            # the kernel writes within these bounds only
+            if not grid.shape == pred.shape == table.shape == self.shape or not 0 < size < 128:
+                raise ValueError(f"a pass step of grids of shape {self.shape} and 1 to 127 "
+                                 f"thresholds, given {grid.shape} and {size}")
+            status = lib.bs_pass_step(grid.ctypes.data, pred.ctypes.data, table.ctypes.data,
+                                      *self.shape, shift, self.first.ctypes.data, size,
+                                      *self.outputs, ctypes.byref(self.listed),
+                                      ctypes.byref(self.work))
+            if status == _KERNEL_NO_MEMORY:
+                raise MemoryError("no memory for the pass step's scratch")
+            m = self.listed.value
+            return (self.marked, self.cells[:m], self.index[:m], self.flip[:m],
+                    self.rooms[:size])
+
+    return encode, decode, PassStep
 
 
 def _compile_kernel(path):
@@ -249,9 +313,10 @@ def _compile_kernel(path):
 
 
 def _load_coder(cache_dir):
-    """(encode, decode) from the compiled kernel cached in cache_dir as
-    _coder-<source CRC-32>.so, compiling _coder.c there first if that file
-    is missing; the Python loops if the kernel cannot be built or loaded.
+    """(encode, decode, pass step) from the compiled kernel cached in
+    cache_dir as _coder-<source CRC-32>.so, compiling _coder.c there first
+    if that file is missing; the Python loops and no pass step (None) if the
+    kernel cannot be built or loaded.
     A CRC-32 names the source well enough for a cache, and zlib is already
     loaded where hashlib would pull in OpenSSL."""
     try:
@@ -262,10 +327,11 @@ def _load_coder(cache_dir):
             _compile_kernel(path)
         return _kernel_coder(ctypes.CDLL(path))
     except OSError:
-        return _encode_py, _decode_py
+        return _encode_py, _decode_py, None
 
 
-_encode, _decode = _load_coder(os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
+_encode, _decode, _pass_step = _load_coder(
+    os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
 
 
 def compress(locmap):

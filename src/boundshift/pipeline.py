@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .codec import _floors, compress, compress_binary_baseline, decompress
 from .embedder import PredictionErrorEmbedder, _pass_rooms
 from .errors import CapacityError, CorruptionError, ValidationError
@@ -182,7 +183,10 @@ class _SweepState:
     whether a cell that fits embeds a payload to measure its PSNR; a state
     without it only picks (_pick_only), and only such a state builds the
     table measure_pass reads each even pass's rooms off: one of the clamped
-    cover, whose odd cells no even pass moves."""
+    cover, whose odd cells no even pass moves. Such a state also takes the
+    compiled kernel's step per even pass (codec._pass_step), whose arrays
+    and scratch it keeps for the sweep, where the kernel loaded: kernel is
+    None where it did not, and pass_step then runs the NumPy one."""
 
     def __init__(self, a, shift, measure_psnr=True):
         self.measure_psnr = measure_psnr
@@ -193,31 +197,44 @@ class _SweepState:
         self.measured = {}
         self.maps = {}
         self.last = (None, None)
-        self.table = None
+        self.table = self.kernel = None
         if not measure_psnr:
             # 16 S + n per cell, S the sum of its n in-grid neighbours
             # (_pass_rooms), at most 16 * 4 * 254 + 4: int16 holds it
             ring = np.pad(np.clip(a, shift, 255 - shift).astype(np.int16) * 16 + 1, 1)
             self.table = ring[:-2, 1:-1] + ring[2:, 1:-1] + ring[1:-1, :-2] + ring[1:-1, 2:]
+            if codec._pass_step is not None:
+                self.kernel = codec._pass_step(a.shape)
         # even cells moved: the rows of its pass; (t_even, t_odd): the key
         self.rows, self.keys = {}, {}
+
+    def pass_step(self, t_even, thresholds):
+        """(marked, cells, index, flip, rooms) of t_even's even pass, as
+        _ForwardCache.odd_steps and embedder._pass_rooms give them: from the
+        kernel's step in one C loop where it loaded, else from those two."""
+        if self.kernel is not None:
+            grid, pred = self.passes.even_pass(t_even)
+            return self.kernel(grid, pred, self.table, self.passes.shift, thresholds)
+        grid, marked, cells, index, step, flip = self.passes.odd_steps(t_even, thresholds)
+        return marked, cells, index, flip, _pass_rooms(self.table, grid, cells, index, step,
+                                                       len(thresholds))
 
     def measure_pass(self, t_even, thresholds):
         """The rows (key, boundary count after, room, map floor) of the cell
         of t_even and each t_odd of thresholds (sorted, the same each call),
-        in one step per distinct even pass, named by the even cells it moves:
-        the clamped pass with no odd cell moved gives a count, a room and the
-        clamped cells, and the odd cells that first move at each t_odd
-        (_ForwardCache.odd_steps) change them, and the key, from there on."""
+        in one step per distinct even pass (pass_step, the compiled kernel's
+        where it loaded), named by the even cells it moves: the clamped pass
+        with no odd cell moved gives a count, a room and the clamped cells,
+        and the odd cells that first move at each t_odd change them, and the
+        key, from there on."""
         even = self.passes.moved(0, t_even)
         if even not in self.rows:
-            grid, marked, moved, index, step, flip = self.passes.odd_steps(t_even, thresholds)
+            marked, moved, index, flip, rooms = self.pass_step(t_even, thresholds)
             size = len(thresholds)
             odds = np.cumsum(np.bincount(index, minlength=size)).tolist()
             flips = np.cumsum(np.bincount(index, flip, size)).astype(int)
             counts = np.count_nonzero(marked) + flips
-            rooms = _pass_rooms(self.table, grid, moved, index, step, size)
-            floors = _floors(grid.size, 2 * self.passes.shift + 1, marked, moved, index, flip,
+            floors = _floors(marked.size, 2 * self.passes.shift + 1, marked, moved, index, flip,
                              counts)
             for odd, *row in zip(odds, counts.tolist(), rooms.tolist(), floors):
                 self.measured[even, odd] = tuple(row)
@@ -272,7 +289,7 @@ def evaluate_cell(cover, params, state=None):
         # read off the rows of a pick-only sweep, or found as a full one does
         key = state.keys.get((params.t_even, params.t_odd)) or state.passes.key(params)
         after_count, room, cmap = state.evaluate(params, key)
-    rec = _record(params, stats, after_count, room, cmap, a.size)
+    rec = _record((params.t_even, params.t_odd), stats, after_count, room, cmap, a.size)
     if rec.psnr_db is not None and (state is None or state.measure_psnr):
         if state is not None:
             out = state.output(params, key)
@@ -281,13 +298,14 @@ def evaluate_cell(cover, params, state=None):
     return rec
 
 
-def _record(params, stats, after_count, room, cmap, size):
-    """A cell's SweepRecord from the cover's stats and pixel count (size)
-    and the cell's boundary count after, room and coded map. r_emb is the
-    room left after the header and the map, per pixel; psnr_db is NaN where
-    the frame fits, for the caller to measure, and None where it does not.
-    cmap is None for a cell whose map was not coded: its map_bits_after,
-    r1, r_emb and psnr_db are None."""
+def _record(pair, stats, after_count, room, cmap, size):
+    """A cell's SweepRecord from its (t_even, t_odd) pair, the cover's stats
+    and pixel count (size), and the cell's boundary count after, room and
+    coded map. r_emb is the room left after the header and the map, per
+    pixel; psnr_db is NaN where the frame fits, for the caller to measure,
+    and None where it does not. cmap is None for a cell whose map was not
+    coded: its map_bits_after, r1, r_emb and psnr_db are None."""
+    t_even, t_odd = pair
     before_count, before_bits = stats
     defined = before_count > 0
     map_bits = r1 = r_emb = quality = None
@@ -297,7 +315,7 @@ def _record(params, stats, after_count, room, cmap, size):
         r_emb = max(0, room - FRAME_HEADER_BITS - map_bits) / size
         quality = math.nan if room >= FRAME_HEADER_BITS + map_bits else None
     return SweepRecord(
-        t_even=params.t_even, t_odd=params.t_odd,
+        t_even=t_even, t_odd=t_odd,
         boundary_before=before_count, boundary_after=after_count,
         map_bits_before=before_bits, map_bits_after=map_bits,
         r0=100.0 * after_count / before_count if defined else None,
@@ -337,20 +355,23 @@ def sweep(cover, t_range, shift, measure_psnr=True):
     # runs, each as the t_odd of the first row's cell that meets it first
     check_param("t_even", thresholds[0])
     _check_size(a)
-    cells = [PreprocessParams(t, t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
+    for v in thresholds:
+        check_param("t_odd", v)
     state = _SweepState(a, t, measure_psnr)
     if not measure_psnr:
-        return _pick_only(a, cells, state, thresholds)
+        return _pick_only(a, state, thresholds)
+    cells = [PreprocessParams(t, t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
     records = [evaluate_cell(a, params, state) for params in cells]
     # max returns the first of equal records, so ties go to the smallest pair
     max(records, key=lambda rec: rec.r_emb).selected = True
     return records
 
 
-def _pick_only(a, cells, state, thresholds):
+def _pick_only(a, state, thresholds):
     """The records of a sweep that only picks; cells run t_even-major over
-    thresholds. Every cell's boundary count, room and a floor on its map's
-    bits (codec._floors) come first, in one step per distinct even pass
+    thresholds, and only the cells it evaluates get a PreprocessParams.
+    Every cell's boundary count, room and a floor on its map's bits
+    (codec._floors) come first, in one step per distinct even pass
     (_SweepState.measure_pass), with no map coded. A key's payload room is
     then at most its room less the header and that floor. The distinct keys
     are visited in decreasing such bound, ties in sweep order, and a key's
@@ -361,6 +382,8 @@ def _pick_only(a, cells, state, thresholds):
     gives. The pick's record is evaluate_cell's; every other cell's is
     _record's from the table of what was measured and coded: the full
     sweep's where its key's map was coded, one without a map elsewhere."""
+    shift = state.passes.shift
+    pairs = [(t_even, t_odd) for t_even in thresholds for t_odd in thresholds]
     measured = []
     for t_even in thresholds:
         measured += state.measure_pass(t_even, thresholds)
@@ -375,15 +398,15 @@ def _pick_only(a, cells, state, thresholds):
         if most[i] < best or (most[i] == best and i >= pick):
             break
         key, _, room, _ = measured[i]
-        _, _, cmap = state.evaluate(cells[i], key)
+        _, _, cmap = state.evaluate(PreprocessParams(shift, *pairs[i]), key)
         payload = room - FRAME_HEADER_BITS - cmap.bit_length
         if payload > best or (payload == best and i < pick):
             best, pick = payload, i
     # the pick first: evaluating it codes its key's map if pruning did not,
     # which the records of the other cells of that key then read
-    picked = evaluate_cell(a, cells[pick], state)
-    records = [_record(params, state.stats, count, room, state.maps.get(key), a.size)
-               for params, (key, count, room, _) in zip(cells, measured)]
+    picked = evaluate_cell(a, PreprocessParams(shift, *pairs[pick]), state)
+    records = [_record(pair, state.stats, count, room, state.maps.get(key), a.size)
+               for pair, (key, count, room, _) in zip(pairs, measured)]
     records[pick] = picked
     picked.selected = True
     return records

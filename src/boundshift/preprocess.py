@@ -146,6 +146,12 @@ class _ForwardCache:
             self.bands[1] = None
         self.t_even = t_even
 
+    def even_pass(self, t_even):
+        """t_even's even pass and its prediction (int16 grids), kept while
+        the cells it moves repeat."""
+        self._even(t_even)
+        return self.pass_even, self.even_pred
+
     def key(self, params):
         """(even cells moved, odd cells moved): cells with equal keys have
         equal shifted images and maps; params must be of this shift width."""

@@ -290,6 +290,36 @@ MUTANTS = [
            "(q + 1) * total < span * c",
            "where span * c is a multiple of total and q is one short, (q + 1) * total "
            "equals span * c: the compare admits equality"),
+    # the kernel's step per even pass
+    Mutant("kernel-step-carrier-lower-bound", "src/boundshift/_coder.c",
+           "n * (2 * value - 1) <= twice",
+           "n * (2 * value - 1) < twice",
+           "an even cell predicted exactly E (2S = n(2E - 1)) is a carrier, as "
+           "embedder._carries holds"),
+    Mutant("kernel-step-carrier-upper-bound", "src/boundshift/_coder.c",
+           "twice < n * (2 * value + 3)",
+           "twice <= n * (2 * value + 3)",
+           "an even cell predicted E + 2 is no carrier: 2S < n(2E + 3)"),
+    Mutant("kernel-step-direction-at-the-middle", "src/boundshift/_coder.c",
+           "(p <= 127 ? shift : -shift)",
+           "(p < 127 ? shift : -shift)",
+           "an odd cell predicted at or below 127 moves up, above it down",
+           equivalent="a cell predicted 127 or 128 has min(p, 255 - p) = 127, whose first "
+                      "index is size for thresholds up to 127, so its direction is never read"),
+    Mutant("kernel-step-direction-below-the-middle", "src/boundshift/_coder.c",
+           "(p <= 127 ? shift : -shift)",
+           "(p <= 125 ? shift : -shift)",
+           "an odd cell predicted 126, which t_odd 127 moves, moves up"),
+    Mutant("kernel-step-first-index-cut-off", "src/boundshift/_coder.c",
+           "            if (j >= size)",
+           "            if (j > size)",
+           "an odd cell whose first index is size moves under no threshold and is not "
+           "listed"),
+    Mutant("kernel-step-sum-before-the-test", "src/boundshift/_coder.c",
+           "    int32_t before = carries(table[e] + 16 * run[e], value);\n    run[e] += step;",
+           "    run[e] += step;\n    int32_t before = carries(table[e] + 16 * run[e], value);",
+           "a change's carrier test before it reads the even cell's running sum without "
+           "the change"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -29,13 +29,14 @@ from boundshift import (
     forward,
     serialize_map,
 )
-from boundshift import codec
+from boundshift import codec, embedder, pipeline
 from boundshift.fixtures import _blobs, _dark, _pooled_field
 
 from conftest import smooth_image
 
 from oracle_floor import bit_length_floor
 from test_formats import GOLDEN_BYTES, GOLDEN_MAP
+from test_sweep import KEY_EDGES
 
 # The coder compress() and decompress() run, taken before any test swaps it:
 # the compiled kernel when it loaded, else the Python loops.
@@ -450,8 +451,9 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    encode, decode = codec._load_coder(str(cache))
-    assert (encode, decode) == PYTHON_CODER
+    encode, decode, pass_step = codec._load_coder(str(cache))
+    # no pass step: a pick-only sweep runs odd_steps and _pass_rooms
+    assert (encode, decode, pass_step) == (*PYTHON_CODER, None)
     assert list(cache.iterdir()) == []
     monkeypatch.setattr(codec, "_encode", encode)
     monkeypatch.setattr(codec, "_decode", decode)
@@ -462,8 +464,8 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
 
 @needs_kernel
 def test_loader_compiles_into_an_empty_cache(tmp_path):
-    encode, decode = codec._load_coder(str(tmp_path))
-    assert (encode, decode) != PYTHON_CODER
+    encode, decode, pass_step = codec._load_coder(str(tmp_path))
+    assert (encode, decode) != PYTHON_CODER and pass_step is not None
     [built] = tmp_path.iterdir()
     assert built.name.startswith("_coder-") and built.suffix == ".so"
     assert len(built.stem) == len("_coder-") + 8
@@ -481,8 +483,8 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
     monkeypatch.setattr(codec, "_KERNEL_SOURCE", str(source))
     with pytest.raises(OSError, match="cc exited with status"):
         codec._compile_kernel(str(cache / "_coder-direct.so"))
-    encode, decode = codec._load_coder(str(cache))
-    assert (encode, decode) == PYTHON_CODER
+    encode, decode, pass_step = codec._load_coder(str(cache))
+    assert (encode, decode, pass_step) == (*PYTHON_CODER, None)
     # cc ran and failed: neither its temporary file nor a library is left
     assert list(cache.glob("_coder-*.tmp")) == []
     assert list(cache.glob("*.so")) == []
@@ -497,11 +499,43 @@ def test_kernel_decode_raises_memory_error_when_the_kernel_has_no_memory():
     freed = []
     lib = types.SimpleNamespace(bs_encode=lambda *args: 0,
                                 bs_decode=lambda *args: codec._KERNEL_NO_MEMORY,
+                                bs_pass_step=lambda *args: codec._KERNEL_NO_MEMORY,
                                 bs_free=lambda buf: freed.append(buf))
-    _, decode = codec._kernel_coder(lib)
+    _, decode, _ = codec._kernel_coder(lib)
     with pytest.raises(MemoryError, match="no memory for the decoded map"):
         decode(GOLDEN_BYTES[-2:], 16, 6, 3)
     assert freed == []
+
+
+def test_kernel_pass_step_raises_memory_error_when_the_kernel_has_no_memory():
+    # a stand-in library: its bs_pass_step reports no memory, which a real
+    # kernel does only when the scratch of a sweep's first pass cannot be
+    # allocated; the step then holds no scratch, and releasing it frees NULL
+    freed = []
+    lib = types.SimpleNamespace(bs_encode=lambda *args: 0, bs_decode=lambda *args: 0,
+                                bs_pass_step=lambda *args: codec._KERNEL_NO_MEMORY,
+                                bs_free=lambda buf: freed.append(buf.value))
+    _, _, pass_step = codec._kernel_coder(lib)
+    step = pass_step((4, 4))
+    grid = np.full((4, 4), 100, np.int16)
+    with pytest.raises(MemoryError, match="no memory for the pass step's scratch"):
+        step(grid, grid, grid, 1, [1, 5])
+    assert freed == []
+    del step
+    assert freed == [None]
+
+
+def test_kernel_pass_step_refuses_what_the_kernel_would_overrun():
+    # grids of another shape than the step's, or more thresholds than the
+    # kernel's 127, never reach the stand-in library
+    lib = types.SimpleNamespace(bs_encode=lambda *args: 0, bs_decode=lambda *args: 0,
+                                bs_free=lambda buf: None,
+                                bs_pass_step=lambda *args: pytest.fail("the kernel ran"))
+    step = codec._kernel_coder(lib)[2]((4, 4))
+    grid = np.full((4, 4), 100, np.int16)
+    for args in [(grid[:3], grid, grid, 1, [1, 5]), (grid, grid, grid, 1, list(range(128)))]:
+        with pytest.raises(ValueError, match="a pass step of grids of shape"):
+            step(*args)
 
 
 @needs_kernel
@@ -541,10 +575,38 @@ def _damaged_corpus(rng, n):
     return maps, streams
 
 
+def _int64_hex(values):
+    return np.asarray(values, dtype="<i8").tobytes().hex()
+
+
+def _pass_step_records(cover, shift, thresholds, t_evens):
+    """A 'p' record of coder_driver.c for the even passes of t_evens of the
+    pick-only sweep of the cover, the lines odd_steps and _pass_rooms give
+    for them, and the passes and their predictions."""
+    state = pipeline._SweepState(cover, shift, measure_psnr=False)
+    first = np.searchsorted(thresholds, np.arange(128), "right").astype(np.uint8)
+    record = [b"p", struct.pack("<QQiII", *cover.shape, shift, len(thresholds), len(t_evens)),
+              first.tobytes(), state.table.astype("<i2").tobytes()]
+    expected, grids = [], []
+    for t_even in t_evens:
+        grid, pred = state.passes.even_pass(t_even)
+        record += [grid.astype("<i2").tobytes(), pred.astype("<i2").tobytes()]
+        grids += [grid, pred]
+        clamped, marked, cells, index, step, flip = state.passes.odd_steps(t_even, thresholds)
+        rooms = embedder._pass_rooms(state.table, clamped, cells, index, step, len(thresholds))
+        expected.append(f"p 0 {cells.size} {marked.astype(np.uint8).tobytes().hex()} "
+                        f"{_int64_hex(cells)} {_int64_hex(index)} "
+                        f"{flip.astype(np.int8).tobytes().hex()} {_int64_hex(rooms)} ")
+    return b"".join(record), expected, grids
+
+
 def test_kernel_runs_clean_under_sanitizers(tmp_path):
     """_coder.c built with AddressSanitizer and UndefinedBehaviorSanitizer
-    codes and decodes a damaged-stream corpus, with no report and with the
-    Python loops' results."""
+    codes and decodes a damaged-stream corpus, and runs the pick-only
+    sweep's pass step on the thinnest grids, where the border ring's
+    neighbour tests decide every cell, and on a shift-3 cover whose even
+    passes leave [0, 255], with no report and with the Python loops' and
+    the NumPy step's results."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
@@ -572,6 +634,20 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
             expected.append(f"d 0 {out.hex()}")
         except CorruptionError as exc:
             expected.append(f"d {statuses[str(exc)]} ")
+    step_covers = [(_pooled_field(default_rng(seed), h, w, 10, 45), shift)
+                   for seed, (h, w) in enumerate([(2, 2), (2, 9), (9, 2), (3, 17), (13, 31)])
+                   for shift in (1, 3)]
+    # a dark 64x64 cover, and two whose shift-3 even passes leave [0, 255]
+    step_covers += [(_dark(default_rng(64), 64, 64), 3), (KEY_EDGES["pools"][0], 3),
+                    (KEY_EDGES["noise"][0], 3)]
+    outside = False
+    for cover, shift in step_covers:
+        for thresholds in ([1, 5, 127], list(range(1, 128))):
+            record, lines, grids = _pass_step_records(cover, shift, thresholds, [1, 5, 127])
+            records.append(record)
+            expected += lines
+            outside |= any(g.min() < 0 or g.max() > 255 for g in grids)
+    assert outside
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1"}
     done = subprocess.run([str(driver)], input=b"".join(records), capture_output=True, env=env)
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]

@@ -1,7 +1,8 @@
 """Threshold sweep: pinned reports, a cell-by-cell differential test, also
 at the edges of the key that lets cells share an evaluation, the pick-only
-sweep's pruning and its step per even pass against the per-cell chain, its
-error paths, and counts of the work it does."""
+sweep's pruning and its step per even pass against the per-cell chain, the
+compiled kernel's step against the NumPy one, its error paths, and counts
+of the work it does."""
 
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from numpy.random import default_rng
 from boundshift import (
     LocationMap, PredictionErrorEmbedder, ValidationError, forward, save_pgm, sweep,
 )
-from boundshift import embedder, pipeline, preprocess
+from boundshift import codec, embedder, pipeline, preprocess
 from boundshift.cli import main
 from boundshift.formats import FRAME_HEADER_BITS
 from boundshift.fixtures import _blobs, _pooled_field
@@ -432,22 +433,23 @@ def test_sweep_predicts_a_shifted_image_that_never_changes_once(monkeypatch, fre
 
 @pytest.mark.parametrize("measure_psnr", [True, False])
 def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, measure_psnr):
-    counts = {"odd passes": 0, "capacity": 0, "odd steps": 0}
+    counts = {"odd passes": 0, "capacity": 0, "pass steps": 0}
     coded = []
     cells = []
     apply_pass = preprocess._apply_pass
-    odd_steps = preprocess._ForwardCache.odd_steps
+    # the step per even pass, through the kernel or odd_steps and _pass_rooms
+    pass_step = pipeline._SweepState.pass_step
 
     def counted_pass(grid, pred, parity, *args):
         counts["odd passes"] += parity == 1
         return apply_pass(grid, pred, parity, *args)
 
     def counted_steps(*args):
-        counts["odd steps"] += 1
-        return odd_steps(*args)
+        counts["pass steps"] += 1
+        return pass_step(*args)
 
     monkeypatch.setattr(preprocess, "_apply_pass", counted_pass)
-    monkeypatch.setattr(preprocess._ForwardCache, "odd_steps", counted_steps)
+    monkeypatch.setattr(pipeline._SweepState, "pass_step", counted_steps)
     compress = pipeline.compress
     monkeypatch.setattr(pipeline, "compress", lambda locmap: coded.append(1) or compress(locmap))
     evaluate_cell = pipeline.evaluate_cell
@@ -474,7 +476,7 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
     # measures its one even pass in one step, with no capacity
     assert len(run(smooth_image(9, 32, 32))) == 256
     assert counts == {"odd passes": 1, "capacity": int(measure_psnr),
-                      "odd steps": int(not measure_psnr)}
+                      "pass steps": int(not measure_psnr)}
     assert len(cells) == (256 if measure_psnr else 1)
 
     # on blobs, the thresholds move few distinct sets of pixels; the cells
@@ -493,7 +495,7 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
     assert 1 < len(distinct) < 256
     if measure_psnr:
         assert counts == {"odd passes": len(distinct), "capacity": len(distinct),
-                          "odd steps": 0}
+                          "pass steps": 0}
     else:
         # one step per distinct even pass, which measures all its cells at
         # once, and no capacity; an odd pass only for each key whose map the
@@ -504,7 +506,7 @@ def test_sweep_evaluates_each_distinct_cell_once(monkeypatch, fresh_embedder, me
                       for rec in records if rec.map_bits_after is not None}
         assert len(even_passes) < len(distinct)
         assert counts["capacity"] == 0
-        assert counts["odd steps"] == len(even_passes)
+        assert counts["pass steps"] == len(even_passes)
         assert 0 < len(coded) <= counts["odd passes"] == len(coded_keys)
 
 
@@ -608,10 +610,10 @@ def test_evaluate_cell_refuses_a_state_that_is_not_a_sweeps(state):
 
 
 @st.composite
-def _odd_step_covers(draw):
-    """Covers of 2x2 to 13x13: dark, blobs, extreme values or noise."""
-    h = draw(st.integers(2, 13))
-    w = draw(st.integers(2, 13))
+def _odd_step_covers(draw, shapes=st.tuples(st.integers(2, 13), st.integers(2, 13))):
+    """Covers of the shapes, 2x2 to 13x13 by default: dark, blobs, extreme
+    values or noise."""
+    h, w = draw(shapes)
     rng = default_rng(draw(st.integers(0, 2**16)))
     kind = draw(st.sampled_from(["dark", "blobs", "extremes", "noise"]))
     if kind == "dark":
@@ -671,3 +673,86 @@ def test_odd_steps_match_the_per_cell_chain_at_256x256():
     # a dark cover larger than those above, where more odd cells move per
     # even pass and its rooms change in more even cells
     _check_odd_steps(_pooled_field(default_rng(61), 256, 256, 40, 45), range(1, 17), 1)
+
+
+needs_kernel_step = pytest.mark.skipif(
+    codec._pass_step is None,
+    reason="the compiled kernel did not load (no C compiler, or its cache directory is read-only)",
+)
+
+
+def _check_kernel_step(cover, shift, thresholds, t_evens=None):
+    """The compiled kernel's step per even pass against odd_steps and
+    _pass_rooms, output for output and dtype for dtype, on the even pass of
+    each of t_evens (by default each of the sorted thresholds)."""
+    state = pipeline._SweepState(cover, shift, measure_psnr=False)
+    assert state.kernel is not None
+    for t_even in thresholds if t_evens is None else t_evens:
+        got = state.pass_step(t_even, thresholds)
+        grid, marked, cells, index, step, flip = state.passes.odd_steps(t_even, thresholds)
+        rooms = embedder._pass_rooms(state.table, grid, cells, index, step, len(thresholds))
+        for kernel, numpy in zip(got, (marked, cells, index, flip, rooms)):
+            assert kernel.dtype == numpy.dtype
+            assert np.array_equal(kernel, numpy)
+
+
+# 2 x n and n x 2 grids, whose cells are all on the border ring, or up to 24x24
+_STEP_SHAPES = st.one_of(st.tuples(st.just(2), st.integers(2, 40)),
+                         st.tuples(st.integers(2, 40), st.just(2)),
+                         st.tuples(st.integers(2, 24), st.integers(2, 24)))
+
+
+@needs_kernel_step
+@settings(max_examples=200, deadline=None)
+@given(
+    cover=_odd_step_covers(_STEP_SHAPES),
+    t_range=st.one_of(st.just([1, 5, 127]), st.just(list(range(1, 128))),
+                      st.lists(st.integers(1, 127), min_size=1, max_size=8)),
+    shift=st.sampled_from([1, 2, 3, 5, 127]),
+)
+def test_kernel_step_matches_the_numpy_step(cover, t_range, shift):
+    _check_kernel_step(cover, shift, sorted(set(t_range)))
+
+
+@needs_kernel_step
+@pytest.mark.parametrize("name", sorted(KEY_EDGES))
+def test_kernel_step_matches_the_numpy_step_at_the_key_edges(name):
+    # at shift 3 the pools' and the noise's even passes leave [0, 255], so
+    # odd cells are predicted -3 and 258
+    cover = KEY_EDGES[name][0]
+    for shift in (1, 2, 3):
+        for thresholds in ([1, 5, 127], list(range(1, 128))):
+            _check_kernel_step(cover, shift, thresholds)
+
+
+@needs_kernel_step
+@pytest.mark.parametrize("size", [128, 256])
+@pytest.mark.parametrize("kind", ["dark", "blobs"])
+def test_kernel_step_matches_the_numpy_step_on_large_covers(kind, size):
+    rng = default_rng(113)
+    cover = (_pooled_field(rng, size, size, 40, 45) if kind == "dark"
+             else _blobs(rng, size, size, 0.45))
+    for thresholds in ([1, 5, 127], list(range(1, 128))):
+        _check_kernel_step(cover, 1, thresholds, t_evens=[1, 2, 5, 16, 127])
+
+
+def test_pick_only_sweep_gives_the_same_records_on_the_numpy_step(tmp_path, monkeypatch):
+    """The pick-only sweep through the kernel's step, where it loaded, and
+    through odd_steps and _pass_rooms, forced as the loader falls back
+    without a compiler."""
+    covers = [(_pooled_field(default_rng(113), 128, 128, 40, 45), 1, range(1, 17)),
+              (_blobs(default_rng(113), 128, 128, 0.45), 1, range(1, 17)),
+              *[(cover, shift, [1, 5, 127]) for cover, shift, _ in KEY_EDGES.values()]]
+    # repr, as a NaN psnr_db equals nothing
+    got = [repr(sweep(cover, t_range, shift, measure_psnr=False))
+           for cover, shift, t_range in covers]
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    fallback = codec._load_coder(str(cache))
+    assert fallback[2] is None
+    for name, value in zip(("_encode", "_decode", "_pass_step"), fallback):
+        monkeypatch.setattr(codec, name, value)
+    assert pipeline._SweepState(covers[0][0], 1, measure_psnr=False).kernel is None
+    assert [repr(sweep(cover, t_range, shift, measure_psnr=False))
+            for cover, shift, t_range in covers] == got
