@@ -85,6 +85,50 @@
  * 16 (S + sum) + n stays in [0, 16,260], as it is the table entry of a grid
  * of clamped values. The carrier test's products are at most
  * 4 * (2 * 254 + 3) = 2,044.
+ *
+ * bs_forward and bs_inverse are preprocess.forward and preprocess.inverse
+ * past their checks, each in one call, with the results of the NumPy chain
+ * (_apply_pass twice, then _clamp; _unclamp, then both passes undone),
+ * which is the fallback and the reference the tests compare against.
+ * - bs_forward takes an h x w uint8 cover, h, w >= 2, the shift t and the
+ *   thresholds t_even and t_odd, each in [1, 127], and writes the shifted
+ *   image, then its map symbols, h w bytes each. The even pass moves the
+ *   even cells (row + column even) predicted below t_even by +t and those
+ *   above 255 - t_even by -t; the odd pass moves the odd cells of the
+ *   result under t_odd; the clamp takes each value v into [t, 255 - t]
+ *   and writes the symbol 2t - |v - clamped v|.
+ * - bs_inverse takes the shifted image, its symbols (the caller has
+ *   checked the image in [t, 255 - t] and the symbols in [0, 2t]) and the
+ *   same parameters, and writes the cover. It unclamps first: a cell of
+ *   symbol s < 2t sat 2t - s below t or above 255 - t, and one on neither
+ *   endpoint is BS_OFF_ENDPOINT, with the first such cell's flat position.
+ *   Then it undoes the odd pass and the even pass, each moving the other
+ *   way, and a value outside [0, 255] is BS_OUT_OF_RANGE.
+ * A pass reads only the other parity, which it does not move, so its
+ * predictions are those of the grid before it and after it alike, and it
+ * runs from one int16 grid into the other (ping-pong) with no prediction
+ * grid. It rounds no mean either. A cell's prediction is its n in-grid
+ * neighbours' mean, rounded half away from zero. With S their sum and
+ * S >= 0 that is floor((2S + n) / 2n), which is below T exactly when
+ * 2S + n < 2nT, that is 2S < n(2T - 1), and above 255 - T exactly when
+ * 2S + n >= 2n(256 - T), that is 2S >= n(511 - 2T). With S < 0 it is at
+ * most 0: below T, as 2S < 0 < n(2T - 1) says, and not above 255 - T, as
+ * 2S < 0 says. So each band test is one compare of the sum: inside the
+ * ring, with n = 4, S < 4T - 2 and S >= 1022 - 4T.
+ * Every value fits in int16. A pass moves a value by at most t <= 127, so
+ * the forward grids lie in [-127, 382] and the inverse's in [-t, 255 + t]
+ * after the unclamp and [-254, 509] after the odd pass is undone. So a
+ * sum of 4 neighbours lies in [-1016, 2036], twice a sum of at most 3 in
+ * [-1524, 3054], and n(511 - 2T) is at most 4 * 509 = 2036.
+ * Why the loops are blocked. GCC's -O2 vectoriser (its very-cheap cost
+ * model) takes only a loop whose trip count it knows to be a multiple of
+ * the vector width, so a plain loop over a row stays scalar. Each
+ * cell-wise loop here takes BLOCK cells at a time through restrict
+ * pointers, and the last few cells one at a time. A blocked row computes
+ * the step of every cell of the block, both parities, and a mask of the
+ * pass's parity keeps half of them, so every load is contiguous. The
+ * border ring and each interior row's first and last cells go one at a
+ * time with their neighbours counted.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -362,4 +406,188 @@ int bs_pass_step(const int16_t *grid, const int16_t *pred, const int16_t *table,
             run[e + 1] = 0;
     }
     return BS_OK;
+}
+
+/* The cells a blocked loop takes at a time: a constant trip count that
+ * GCC's -O2 cost model vectorises (the header gives why). */
+#define BLOCK 16
+
+enum { BS_OFF_ENDPOINT = 4, BS_OUT_OF_RANGE = 5 };
+
+/* The step of a pass of threshold threshold at a cell whose n in-grid
+ * neighbours sum to total: 1 if predicted below threshold, -1 if above
+ * 255 - threshold, else 0, with no rounded prediction (the header). */
+static inline int32_t band(int32_t total, int32_t n, int32_t threshold) {
+    return (2 * total < n * (2 * threshold - 1)) - (2 * total >= n * (511 - 2 * threshold));
+}
+
+/* Columns [from, to) of row r of a pass: each cell of the parity moved by
+ * move times its step, the others copied. */
+static void pass_cells(const int16_t *in, int16_t *out, uint64_t h, uint64_t w, uint64_t r,
+                       uint64_t from, uint64_t to, uint64_t parity, int32_t threshold,
+                       int32_t move) {
+    for (uint64_t c = from; c < to; c++) {
+        uint64_t i = r * w + c;
+        int32_t total = 0, n = 0;
+        out[i] = in[i];
+        if (((r + c) & 1) != parity)
+            continue;
+        if (r > 0) {
+            total += in[i - w];
+            n++;
+        }
+        if (r < h - 1) {
+            total += in[i + w];
+            n++;
+        }
+        if (c > 0) {
+            total += in[i - 1];
+            n++;
+        }
+        if (c < w - 1) {
+            total += in[i + 1];
+            n++;
+        }
+        out[i] = (int16_t)(in[i] + band(total, n, threshold) * move);
+    }
+}
+
+/* One pass over the cells of the parity of an h x w grid, in into out:
+ * preprocess._apply_pass of threshold threshold with move = direction *
+ * shift. It reads only the other parity, which it copies, so out never
+ * aliases in. Off the border ring a cell has four neighbours and its step
+ * compares the sum with 4T - 2 and 1022 - 4T (band with n = 4); there the
+ * row is taken BLOCK cells at a time, each cell's step masked by its
+ * parity, and the ring and the row's last cells one at a time. */
+static void pass(const int16_t *restrict in, int16_t *restrict out, uint64_t h, uint64_t w,
+                 uint64_t parity, int32_t threshold, int32_t move) {
+    int16_t moves[BLOCK + 1];
+    int16_t low = (int16_t)(4 * threshold - 2), high = (int16_t)(1022 - 4 * threshold);
+    for (int j = 0; j <= BLOCK; j++)
+        moves[j] = (int16_t)(j % 2 == 0 ? move : 0);
+    for (uint64_t r = 0; r < h; r++) {
+        uint64_t c = 1;
+        if (r == 0 || r == h - 1) {
+            pass_cells(in, out, h, w, r, 0, w, parity, threshold, move);
+            continue;
+        }
+        pass_cells(in, out, h, w, r, 0, 1, parity, threshold, move);
+        /* moves[j] of the block at column 1 is cell 1 + j's move, and
+         * BLOCK is even, so the same for every block of the row */
+        const int16_t *mask = moves + ((r + 1 + parity) & 1);
+        for (; c + BLOCK < w; c += BLOCK) {
+            const int16_t *mid = in + r * w + c, *up = mid - w, *down = mid + w;
+            int16_t *dst = out + r * w + c;
+            for (int j = 0; j < BLOCK; j++) {
+                int16_t total = (int16_t)(up[j] + down[j] + mid[j - 1] + mid[j + 1]);
+                dst[j] = (int16_t)(mid[j] + ((total < low) - (total >= high)) * mask[j]);
+            }
+        }
+        pass_cells(in, out, h, w, r, c, w, parity, threshold, move);
+    }
+}
+
+/* The cell-wise steps of bs_forward and bs_inverse over count cells from
+ * position i, called with count = BLOCK, which vectorises, and once more
+ * for the last cells. */
+static inline void widen(const uint8_t *restrict from, int16_t *restrict to, uint64_t i,
+                         uint64_t count) {
+    for (uint64_t j = i; j < i + count; j++)
+        to[j] = from[j];
+}
+
+/* _clamp: the value clamped into [low, high], and the symbol 2t less how
+ * far the value sat outside */
+static inline void clamp_cells(const int16_t *restrict grid, uint8_t *restrict shifted,
+                               uint8_t *restrict symbols, uint64_t i, uint64_t count,
+                               int16_t low, int16_t high) {
+    int16_t clear = (int16_t)(low + low);
+    for (uint64_t j = i; j < i + count; j++) {
+        int16_t v = grid[j], c = v < low ? low : v > high ? high : v;
+        shifted[j] = (uint8_t)c;
+        symbols[j] = (uint8_t)(clear - (v < c ? c - v : v - c));
+    }
+}
+
+/* _unclamp: a marked cell sat 2t - symbol below low or above high; returns
+ * whether a marked cell sits on neither */
+static inline int16_t unclamp_cells(const uint8_t *restrict shifted,
+                                    const uint8_t *restrict symbols, int16_t *restrict grid,
+                                    uint64_t i, uint64_t count, int16_t low, int16_t high) {
+    int16_t clear = (int16_t)(low + low), bad = 0;
+    for (uint64_t j = i; j < i + count; j++) {
+        int16_t v = shifted[j], outside = (int16_t)(clear - symbols[j]);
+        int16_t side = (int16_t)((v == high) - (v == low));
+        grid[j] = (int16_t)(v + outside * side);
+        bad |= (int16_t)((outside != 0) & (side == 0));
+    }
+    return bad;
+}
+
+/* the recovered cover; returns whether a value leaves [0, 255] */
+static inline int16_t narrow(const int16_t *restrict grid, uint8_t *restrict cover, uint64_t i,
+                             uint64_t count) {
+    int16_t outside = 0;
+    for (uint64_t j = i; j < i + count; j++) {
+        outside |= (int16_t)((grid[j] < 0) | (grid[j] > 255));
+        cover[j] = (uint8_t)grid[j];
+    }
+    return outside;
+}
+
+/* preprocess.forward of an h x w cover (h, w >= 2; shift, t_even and
+ * t_odd in [1, 127]): out[0, n) takes the shifted image and out[n, 2n)
+ * its map symbols, n = h w. Returns BS_NO_MEMORY where it cannot allocate
+ * its two int16 grids, else BS_OK. */
+int bs_forward(const uint8_t *restrict cover, uint64_t h, uint64_t w, int32_t shift,
+               int32_t t_even, int32_t t_odd, uint8_t *restrict out) {
+    uint64_t n = h * w, i;
+    int16_t low = (int16_t)shift, high = (int16_t)(255 - shift);
+    int16_t *a = malloc(2 * n * sizeof(int16_t)), *b = a + n;
+    if (a == NULL)
+        return BS_NO_MEMORY;
+    for (i = 0; i + BLOCK <= n; i += BLOCK)
+        widen(cover, a, i, BLOCK);
+    widen(cover, a, i, n - i);
+    pass(a, b, h, w, 0, t_even, shift);
+    pass(b, a, h, w, 1, t_odd, shift);
+    for (i = 0; i + BLOCK <= n; i += BLOCK)
+        clamp_cells(a, out, out + n, i, BLOCK, low, high);
+    clamp_cells(a, out, out + n, i, n - i, low, high);
+    free(a);
+    return BS_OK;
+}
+
+/* preprocess.inverse of an h x w shifted image and its map symbols (h,
+ * w >= 2; shift, t_even and t_odd in [1, 127]; the image in [shift,
+ * 255 - shift] and the symbols in [0, 2 shift]) into cover. Returns
+ * BS_OFF_ENDPOINT, with the flat position of the first such cell in *at,
+ * where the map marks a cell whose value is no endpoint of that range;
+ * BS_OUT_OF_RANGE where the undone passes leave [0, 255]; BS_NO_MEMORY
+ * where it cannot allocate its two int16 grids; and BS_OK otherwise. */
+int bs_inverse(const uint8_t *restrict shifted, const uint8_t *restrict symbols, uint64_t h,
+               uint64_t w, int32_t shift, int32_t t_even, int32_t t_odd,
+               uint8_t *restrict cover, uint64_t *at) {
+    uint64_t n = h * w, i;
+    int16_t low = (int16_t)shift, high = (int16_t)(255 - shift), bad = 0;
+    int16_t *a = malloc(2 * n * sizeof(int16_t)), *b = a + n;
+    if (a == NULL)
+        return BS_NO_MEMORY;
+    for (i = 0; i + BLOCK <= n; i += BLOCK)
+        bad |= unclamp_cells(shifted, symbols, a, i, BLOCK, low, high);
+    bad |= unclamp_cells(shifted, symbols, a, i, n - i, low, high);
+    if (bad) {
+        for (i = 0; symbols[i] == 2 * shift || shifted[i] == low || shifted[i] == high; i++)
+            ;
+        *at = i;
+        free(a);
+        return BS_OFF_ENDPOINT;
+    }
+    pass(a, b, h, w, 1, t_odd, -shift);
+    pass(b, a, h, w, 0, t_even, -shift);
+    for (i = 0; i + BLOCK <= n; i += BLOCK)
+        bad |= narrow(a, cover, i, BLOCK);
+    bad |= narrow(a, cover, i, n - i);
+    free(a);
+    return bad ? BS_OUT_OF_RANGE : BS_OK;
 }

@@ -42,6 +42,12 @@ _pass_step is its wrapper, made once per sweep (pipeline._SweepState) so
 its arrays and scratch serve every pass, or None where the kernel did not
 load, and the sweep then runs those two NumPy functions.
 
+It also holds preprocess.forward and preprocess.inverse past their checks,
+bs_forward and bs_inverse: both passes and the clamp, or the unclamp and
+both passes undone, in one C call each, with no prediction grid. _forward
+and _inverse are their wrappers, or None where the kernel did not load,
+and preprocess then runs its NumPy chain.
+
 _floors bounds the coded lengths of the maps of one even pass from below
 at once, without coding them, from the model alone (_floor_bits); the
 pick-only sweep skips the maps it rules out.
@@ -71,6 +77,8 @@ _MODEL_CAP = 1 << 16
 _EXHAUSTED = "compressed map exhausted mid-decode"
 _KERNEL_ERRORS = {2: _EXHAUSTED}
 _KERNEL_NO_MEMORY = 3
+_KERNEL_OFF_ENDPOINT = 4
+_KERNEL_OUT_OF_RANGE = 5
 _KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_coder.c")
 
 _U32_MAX = 2**32 - 1
@@ -199,8 +207,9 @@ def _decode_py(data, bit_length, count, alphabet_size):
 
 
 def _kernel_coder(lib):
-    """(encode, decode) calling the compiled kernel in lib, with the
-    signatures and results of _encode_py and _decode_py."""
+    """(encode, decode, pass step, forward, inverse) calling the compiled
+    kernel in lib: encode and decode with the signatures and results of
+    _encode_py and _decode_py."""
     lib.bs_encode.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p]
     lib.bs_encode.restype = ctypes.c_uint64
     lib.bs_decode.argtypes = [
@@ -289,7 +298,49 @@ def _kernel_coder(lib):
             return (self.marked, self.cells[:m], self.index[:m], self.flip[:m],
                     self.rooms[:size])
 
-    return encode, decode, PassStep
+    lib.bs_forward.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int32,
+                               ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p]
+    lib.bs_forward.restype = ctypes.c_int
+    lib.bs_inverse.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int32,
+        ctypes.c_int32, ctypes.c_int32, ctypes.c_void_p, ctypes.POINTER(ctypes.c_uint64),
+    ]
+    lib.bs_inverse.restype = ctypes.c_int
+
+    def forward(cover, shift, t_even, t_odd):
+        """(shifted image, map symbols) of preprocess.forward, both uint8,
+        for a gray cover of at least 2x2 and valid parameters."""
+        cover = np.ascontiguousarray(cover, dtype=np.uint8)
+        out = np.empty((2, *cover.shape), dtype=np.uint8)
+        status = lib.bs_forward(cover.ctypes.data, *cover.shape, shift, t_even, t_odd,
+                                out.ctypes.data)
+        if status == _KERNEL_NO_MEMORY:
+            raise MemoryError("no memory for the transform's grids")
+        return out[0], out[1]
+
+    def inverse(shifted, symbols, shift, t_even, t_odd):
+        """(status, result) of preprocess.inverse, for a shifted image of at
+        least 2x2 in [shift, 255 - shift], map symbols of its shape in
+        [0, 2 shift] and valid parameters: (0, the cover),
+        (_KERNEL_OFF_ENDPOINT, the (row, column) of the first marked cell
+        off the endpoints) or (_KERNEL_OUT_OF_RANGE, None)."""
+        shifted = np.ascontiguousarray(shifted, dtype=np.uint8)
+        symbols = np.ascontiguousarray(symbols, dtype=np.uint8)
+        # the kernel reads within the image's shape only
+        if shifted.shape != symbols.shape:
+            raise ValueError(f"an inverse of an image of shape {shifted.shape} and a map "
+                             f"of shape {symbols.shape}")
+        cover = np.empty(shifted.shape, dtype=np.uint8)
+        at = ctypes.c_uint64()
+        status = lib.bs_inverse(shifted.ctypes.data, symbols.ctypes.data, *shifted.shape,
+                                shift, t_even, t_odd, cover.ctypes.data, ctypes.byref(at))
+        if status == _KERNEL_NO_MEMORY:
+            raise MemoryError("no memory for the transform's grids")
+        if status == _KERNEL_OFF_ENDPOINT:
+            return status, divmod(at.value, shifted.shape[1])
+        return status, cover if status == 0 else None
+
+    return encode, decode, PassStep, forward, inverse
 
 
 def _compile_kernel(path):
@@ -313,10 +364,11 @@ def _compile_kernel(path):
 
 
 def _load_coder(cache_dir):
-    """(encode, decode, pass step) from the compiled kernel cached in
-    cache_dir as _coder-<source CRC-32>.so, compiling _coder.c there first
-    if that file is missing; the Python loops and no pass step (None) if the
-    kernel cannot be built or loaded.
+    """(encode, decode, pass step, forward, inverse) from the compiled
+    kernel cached in cache_dir as _coder-<source CRC-32>.so, compiling
+    _coder.c there first if that file is missing; the Python loops and no
+    pass step, forward or inverse (None) if the kernel cannot be built or
+    loaded.
     A CRC-32 names the source well enough for a cache, and zlib is already
     loaded where hashlib would pull in OpenSSL."""
     try:
@@ -327,10 +379,10 @@ def _load_coder(cache_dir):
             _compile_kernel(path)
         return _kernel_coder(ctypes.CDLL(path))
     except OSError:
-        return _encode_py, _decode_py, None
+        return _encode_py, _decode_py, None, None, None
 
 
-_encode, _decode, _pass_step = _load_coder(
+_encode, _decode, _pass_step, _forward, _inverse = _load_coder(
     os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
 
 

@@ -10,6 +10,11 @@ predict_grid is checked against.
 Every cell off the border has four neighbors, so its mean is a 2-bit shift
 of the neighbors' sum; only the border ring (two or three neighbors, or one
 on a single-row or single-column grid) divides by its true count.
+
+Where the compiled kernel loaded, preprocess.forward and preprocess.inverse
+call none of this: the kernel tests each moved cell's neighbor sum against
+its pass's bands directly (_coder.c). The embedder, the sweep and the
+NumPy chain of preprocess call predict_grid.
 """
 
 from functools import lru_cache

@@ -17,12 +17,21 @@ them is the post-transform boundary census.
 
 Each pass moves a value by at most shift <= 127, so every work grid lies in
 [-254, 509] and is held as int16.
+
+forward() and inverse() run the compiled kernel's bs_forward and bs_inverse
+(codec._forward and codec._inverse), each the whole chain in one C call
+with no prediction grid, where the kernel loaded. The NumPy chain here
+(_apply_pass with predict_grid, _clamp; _unclamp, _inverse_chain) runs
+where it did not, and is the reference the tests compare the kernel
+against. The sweep's _ForwardCache keeps the NumPy passes: it reuses an
+even pass and its prediction across thresholds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .errors import CorruptionError, ValidationError
 from .imagecore import LocationMap, as_gray, check_param, validate_shift_width
 from .predictor import predict_grid
@@ -90,7 +99,10 @@ def forward(cover, params):
     _check_size(a)
     if not isinstance(params, PreprocessParams):
         raise ValidationError("params must be a PreprocessParams")
-    return _ForwardCache(a, params.shift).forward(params)
+    if codec._forward is None:
+        return _ForwardCache(a, params.shift).forward(params)
+    shifted, symbols = codec._forward(a, params.shift, params.t_even, params.t_odd)
+    return PreprocessOutput(shifted, LocationMap(symbols, 2 * params.shift + 1), params)
 
 
 class _ForwardCache:
@@ -208,12 +220,18 @@ def _unclamp(shifted, symbols, shift):
     side = (grid == 255 - t).view(np.int8) - (grid == t).view(np.int8)
     bad = (outside != 0) & (side == 0)
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise CorruptionError(
-            f"map marks cell ({i}, {j}) as clamped but its value "
-            f"{int(shifted[i, j])} is not an interior-range endpoint"
-        )
+        raise _off_endpoint(shifted, *np.argwhere(bad)[0])
     return grid + outside * side
+
+
+def _off_endpoint(shifted, i, j):
+    """The error of a map that marks cell (i, j) clamped where its value is
+    no endpoint of the interior range."""
+    return CorruptionError(f"map marks cell ({i}, {j}) as clamped but its value "
+                           f"{int(shifted[i, j])} is not an interior-range endpoint")
+
+
+_OUT_OF_RANGE = "recovered cover leaves [0, 255]; inputs are inconsistent"
 
 
 def inverse(shifted, locmap, params):
@@ -235,12 +253,25 @@ def inverse(shifted, locmap, params):
         )
     if int(a.min()) < t or int(a.max()) > 255 - t:
         raise CorruptionError(f"shifted image has pixels outside [{t}, {255 - t}]")
+    if codec._inverse is None:
+        return _inverse_chain(a, locmap.symbols, params)
+    status, out = codec._inverse(a, locmap.symbols, t, params.t_even, params.t_odd)
+    if status == codec._KERNEL_OFF_ENDPOINT:
+        raise _off_endpoint(a, *out)
+    if status == codec._KERNEL_OUT_OF_RANGE:
+        raise CorruptionError(_OUT_OF_RANGE)
+    return out
 
-    grid = _unclamp(a, locmap.symbols.astype(np.int16), t)
+
+def _inverse_chain(shifted, symbols, params):
+    """inverse() in NumPy, for a shifted image and map symbols that pass its
+    checks: the fallback where the kernel did not load, and its reference."""
+    t = params.shift
+    grid = _unclamp(shifted, symbols.astype(np.int16), t)
     undo_odd = _apply_pass(grid, predict_grid(grid), 1, params.t_odd, t, -1)
     undo_even = _apply_pass(undo_odd, predict_grid(undo_odd), 0, params.t_even, t, -1)
     if int(undo_even.min()) < 0 or int(undo_even.max()) > 255:
-        raise CorruptionError("recovered cover leaves [0, 255]; inputs are inconsistent")
+        raise CorruptionError(_OUT_OF_RANGE)
     return undo_even.astype(np.uint8)
 
 

@@ -12,6 +12,12 @@
  *       and h * w of its prediction
  *       -> per pass "p <status> <listed> <hex of marked> <hex of cells>
  *          <hex of index> <hex of flip> <hex of rooms>"
+ *   'f' u64 h, u64 w, i32 shift, i32 t_even, i32 t_odd, h * w bytes of cover
+ *       -> "f <status> <hex of the shifted image> <hex of the map symbols>"
+ *   'i' u64 h, u64 w, i32 shift, i32 t_even, i32 t_odd, h * w bytes of the
+ *       shifted image, then h * w of its map symbols
+ *       -> "i <status> <position of the first cell off the endpoints, or 0>
+ *          <hex of the cover, empty unless the status is 0>"
  * Integers are little-endian, and so is the hex of an int16 or int64 array.
  * Each buffer is allocated at its exact size, so a read or write past it is
  * an AddressSanitizer report. The passes of a 'p' record share one scratch,
@@ -29,6 +35,10 @@ int bs_pass_step(const int16_t *grid, const int16_t *pred, const int16_t *table,
                  uint64_t h, uint64_t w, int32_t shift, const uint8_t *first, int32_t size,
                  uint8_t *marked, int64_t *cells, int64_t *index, int8_t *flip,
                  int64_t *rooms, uint64_t *listed, void **work);
+int bs_forward(const uint8_t *cover, uint64_t h, uint64_t w, int32_t shift, int32_t t_even,
+               int32_t t_odd, uint8_t *out);
+int bs_inverse(const uint8_t *shifted, const uint8_t *symbols, uint64_t h, uint64_t w,
+               int32_t shift, int32_t t_even, int32_t t_odd, uint8_t *cover, uint64_t *at);
 
 static uint64_t read_u(int bytes) {
     uint64_t v = 0;
@@ -118,6 +128,35 @@ static void pass_steps(void) {
     free(rooms);
 }
 
+/* an 'f' or 'i' record: forward's or inverse's */
+static void transform(int kind) {
+    uint64_t h = read_u(8), w = read_u(8), n = h * w, at = 0;
+    int32_t shift = (int32_t)read_u(4), t_even = (int32_t)read_u(4), t_odd = (int32_t)read_u(4);
+    uint8_t *image = read_bytes(n);
+    if (kind == 'f') {
+        uint8_t *out = malloc(2 * n);
+        if (out == NULL)
+            exit(2);
+        int status = bs_forward(image, h, w, shift, t_even, t_odd, out);
+        printf("f %d ", status);
+        for (uint64_t i = 0; i < n; i++)
+            printf("%02x", out[i]);
+        printf(" ");
+        print_hex(out + n, n);
+        free(out);
+    } else {
+        uint8_t *symbols = read_bytes(n), *cover = malloc(n);
+        if (cover == NULL)
+            exit(2);
+        int status = bs_inverse(image, symbols, h, w, shift, t_even, t_odd, cover, &at);
+        printf("i %d %llu ", status, (unsigned long long)at);
+        print_hex(cover, status == 0 ? n : 0);
+        free(symbols);
+        free(cover);
+    }
+    free(image);
+}
+
 int main(void) {
     int kind;
     while ((kind = getchar()) != EOF) {
@@ -146,6 +185,8 @@ int main(void) {
             free(symbols);
         } else if (kind == 'p') {
             pass_steps();
+        } else if (kind == 'f' || kind == 'i') {
+            transform(kind);
         } else {
             fprintf(stderr, "unknown record kind %d\n", kind);
             return 2;

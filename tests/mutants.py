@@ -320,6 +320,55 @@ MUTANTS = [
            "    run[e] += step;\n    int32_t before = carries(table[e] + 16 * run[e], value);",
            "a change's carrier test before it reads the even cell's running sum without "
            "the change"),
+    # the kernel's forward and inverse
+    Mutant("kernel-transform-low-tie", "src/boundshift/_coder.c",
+           "(2 * total < n * (2 * threshold - 1))",
+           "(2 * total <= n * (2 * threshold - 1))",
+           "a border or last cell whose mean is a tie at threshold - 1/2 rounds up to "
+           "threshold, which no pass moves up"),
+    Mutant("kernel-transform-high-tie", "src/boundshift/_coder.c",
+           "(2 * total >= n * (511 - 2 * threshold))",
+           "(2 * total > n * (511 - 2 * threshold))",
+           "a border or last cell whose mean is a tie at 255.5 - threshold rounds up to "
+           "256 - threshold, which a pass moves down"),
+    Mutant("kernel-transform-interior-low-tie", "src/boundshift/_coder.c",
+           "low = (int16_t)(4 * threshold - 2)",
+           "low = (int16_t)(4 * threshold - 1)",
+           "an inner cell whose four neighbours sum to 4 threshold - 2 is predicted "
+           "threshold (the tie rounds up), which no pass moves up"),
+    Mutant("kernel-transform-interior-high-tie", "src/boundshift/_coder.c",
+           "(total >= high)",
+           "(total > high)",
+           "an inner cell whose four neighbours sum to 1022 - 4 threshold is predicted "
+           "256 - threshold (the tie rounds up), which a pass moves down"),
+    Mutant("kernel-transform-negative-sum", "src/boundshift/_coder.c",
+           "int16_t total = (int16_t)(up[j]",
+           "uint16_t total = (uint16_t)(up[j]",
+           "an inner cell whose four neighbours sum below 0 (a tie there included) is "
+           "predicted at most 0, below every threshold, which a pass moves up"),
+    Mutant("kernel-transform-border-count", "src/boundshift/_coder.c",
+           "            total += in[i + 1];\n            n++;",
+           "            total += in[i + 1];",
+           "a border cell is predicted from its two or three in-grid neighbours, each "
+           "counted"),
+    Mutant("kernel-transform-first-column-of-the-parity", "src/boundshift/_coder.c",
+           "moves + ((r + 1 + parity) & 1)",
+           "moves + ((r + parity) & 1)",
+           "a blocked row moves the cells of the pass's parity, from column 1 or 2 by "
+           "the row's parity, and copies the others"),
+    Mutant("kernel-transform-clamp-endpoint", "src/boundshift/_coder.c",
+           "high = (int16_t)(255 - shift);",
+           "high = (int16_t)(256 - shift);",
+           "forward clamps into [shift, 255 - shift]"),
+    Mutant("kernel-inverse-endpoint-check", "src/boundshift/_coder.c",
+           "    if (bad) {",
+           "    if (0) {",
+           "a map that marks a cell clamped whose value is no endpoint is corrupt, at "
+           "that cell"),
+    Mutant("kernel-inverse-output-range", "src/boundshift/_coder.c",
+           "(grid[j] < 0) | (grid[j] > 255)",
+           "(grid[j] < -1) | (grid[j] > 256)",
+           "a recovered cover lies in [0, 255]"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from boundshift import PreprocessParams, embedder, load_pgm, pipeline, preprocess, save_pgm
+from boundshift import (
+    PreprocessParams, codec, embedder, load_pgm, pipeline, preprocess, save_pgm)
 from boundshift.cli import _REPORT_FIELDS, build_parser, main
-from boundshift.fixtures import _pooled_field
+from boundshift.fixtures import _blobs, _pooled_field
 
 from conftest import smooth_image
 
@@ -507,5 +508,51 @@ def test_golden_corpus_report(tmp_path, corpus_dir):
     rc = main(["analyze", str(corpus_dir), "--report", str(report),
                "--t-even", "1", "--t-odd", "4"])
     assert rc == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "corpus_report.csv"
+    assert report.read_bytes() == golden.read_bytes()
+
+
+def test_numpy_chain_gives_the_golden_report_and_the_same_round_trips(
+        tmp_path, corpus_dir, monkeypatch):
+    """forward and inverse through preprocess's NumPy chain, forced as the
+    loader falls back without a compiler, write the golden corpus report
+    and embed and extract the same files as through the kernel, where it
+    loaded."""
+    covers = [_write_cover(tmp_path, "smooth.pgm")]
+    for name, cover in [("dark.pgm", _pooled_field(default_rng(113), 64, 64, 40, 45)),
+                        ("blobs.pgm", _blobs(default_rng(114), 96, 80, 0.45))]:
+        save_pgm(tmp_path / name, cover)
+        covers.append(tmp_path / name)
+
+    def round_trips(out):
+        """The marked image and payload files of each cover, the dark and
+        blobs ones embedded with an --auto pick."""
+        out.mkdir()
+        (out / "payload.bin").write_bytes(b"q")
+        files = []
+        for k, cover in enumerate(covers):
+            cell = ["--auto", "--t-max", "4"] if k else ["--t-even", "1", "--t-odd", "4"]
+            marked, restored, payload = out / f"{k}.marked.pgm", out / f"{k}.pgm", out / f"{k}.bin"
+            assert main(["embed", str(cover), "--payload", str(out / "payload.bin"),
+                         "--out", str(marked), *cell]) == 0
+            assert main(["extract", str(marked), "--payload-out", str(payload),
+                         "--out", str(restored)]) == 0
+            assert restored.read_bytes() == cover.read_bytes()
+            files += [marked.read_bytes(), payload.read_bytes()]
+        return files
+
+    expected = round_trips(tmp_path / "default")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    fallback = codec._load_coder(str(cache))
+    assert fallback[3:] == (None, None)
+    for name, value in zip(("_encode", "_decode", "_pass_step", "_forward", "_inverse"),
+                           fallback):
+        monkeypatch.setattr(codec, name, value)
+    assert round_trips(tmp_path / "numpy") == expected
+    report = tmp_path / "report.csv"
+    assert main(["analyze", str(corpus_dir), "--report", str(report),
+                 "--t-even", "1", "--t-odd", "4"]) == 0
     golden = pathlib.Path(__file__).parent / "golden" / "corpus_report.csv"
     assert report.read_bytes() == golden.read_bytes()

@@ -29,7 +29,7 @@ from boundshift import (
     forward,
     serialize_map,
 )
-from boundshift import codec, embedder, pipeline
+from boundshift import codec, embedder, pipeline, preprocess
 from boundshift.fixtures import _blobs, _dark, _pooled_field
 
 from conftest import smooth_image
@@ -451,9 +451,10 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    encode, decode, pass_step = codec._load_coder(str(cache))
-    # no pass step: a pick-only sweep runs odd_steps and _pass_rooms
-    assert (encode, decode, pass_step) == (*PYTHON_CODER, None)
+    encode, decode, pass_step, forward, inverse = codec._load_coder(str(cache))
+    # no pass step: a pick-only sweep runs odd_steps and _pass_rooms; and no
+    # transform: preprocess runs its NumPy chain
+    assert (encode, decode, pass_step, forward, inverse) == (*PYTHON_CODER, None, None, None)
     assert list(cache.iterdir()) == []
     monkeypatch.setattr(codec, "_encode", encode)
     monkeypatch.setattr(codec, "_decode", decode)
@@ -464,8 +465,9 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
 
 @needs_kernel
 def test_loader_compiles_into_an_empty_cache(tmp_path):
-    encode, decode, pass_step = codec._load_coder(str(tmp_path))
-    assert (encode, decode) != PYTHON_CODER and pass_step is not None
+    encode, decode, pass_step, forward, inverse = codec._load_coder(str(tmp_path))
+    assert (encode, decode) != PYTHON_CODER
+    assert None not in (pass_step, forward, inverse)
     [built] = tmp_path.iterdir()
     assert built.name.startswith("_coder-") and built.suffix == ".so"
     assert len(built.stem) == len("_coder-") + 8
@@ -483,8 +485,8 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
     monkeypatch.setattr(codec, "_KERNEL_SOURCE", str(source))
     with pytest.raises(OSError, match="cc exited with status"):
         codec._compile_kernel(str(cache / "_coder-direct.so"))
-    encode, decode, pass_step = codec._load_coder(str(cache))
-    assert (encode, decode, pass_step) == (*PYTHON_CODER, None)
+    encode, decode, pass_step, forward, inverse = codec._load_coder(str(cache))
+    assert (encode, decode, pass_step, forward, inverse) == (*PYTHON_CODER, None, None, None)
     # cc ran and failed: neither its temporary file nor a library is left
     assert list(cache.glob("_coder-*.tmp")) == []
     assert list(cache.glob("*.so")) == []
@@ -493,15 +495,25 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
     assert serialize_map(compress(GOLDEN_MAP)) == GOLDEN_BYTES
 
 
+def _stand_in(**functions):
+    """A stand-in for the kernel's library: the given functions, and for
+    each other one a function that fails the test when called."""
+    names = ("bs_encode", "bs_decode", "bs_free", "bs_pass_step", "bs_forward", "bs_inverse")
+
+    def unexpected(name):
+        return lambda *args: pytest.fail(f"{name} ran")
+
+    return types.SimpleNamespace(**{name: functions.get(name) or unexpected(name)
+                                    for name in names})
+
+
 def test_kernel_decode_raises_memory_error_when_the_kernel_has_no_memory():
     # a stand-in library: its bs_decode reports no memory, which a real
     # kernel does only when malloc fails, so there is no buffer to free
     freed = []
-    lib = types.SimpleNamespace(bs_encode=lambda *args: 0,
-                                bs_decode=lambda *args: codec._KERNEL_NO_MEMORY,
-                                bs_pass_step=lambda *args: codec._KERNEL_NO_MEMORY,
-                                bs_free=lambda buf: freed.append(buf))
-    _, decode, _ = codec._kernel_coder(lib)
+    lib = _stand_in(bs_decode=lambda *args: codec._KERNEL_NO_MEMORY,
+                    bs_free=lambda buf: freed.append(buf))
+    _, decode, *_ = codec._kernel_coder(lib)
     with pytest.raises(MemoryError, match="no memory for the decoded map"):
         decode(GOLDEN_BYTES[-2:], 16, 6, 3)
     assert freed == []
@@ -512,10 +524,9 @@ def test_kernel_pass_step_raises_memory_error_when_the_kernel_has_no_memory():
     # kernel does only when the scratch of a sweep's first pass cannot be
     # allocated; the step then holds no scratch, and releasing it frees NULL
     freed = []
-    lib = types.SimpleNamespace(bs_encode=lambda *args: 0, bs_decode=lambda *args: 0,
-                                bs_pass_step=lambda *args: codec._KERNEL_NO_MEMORY,
-                                bs_free=lambda buf: freed.append(buf.value))
-    _, _, pass_step = codec._kernel_coder(lib)
+    lib = _stand_in(bs_pass_step=lambda *args: codec._KERNEL_NO_MEMORY,
+                    bs_free=lambda buf: freed.append(buf.value))
+    pass_step = codec._kernel_coder(lib)[2]
     step = pass_step((4, 4))
     grid = np.full((4, 4), 100, np.int16)
     with pytest.raises(MemoryError, match="no memory for the pass step's scratch"):
@@ -528,14 +539,32 @@ def test_kernel_pass_step_raises_memory_error_when_the_kernel_has_no_memory():
 def test_kernel_pass_step_refuses_what_the_kernel_would_overrun():
     # grids of another shape than the step's, or more thresholds than the
     # kernel's 127, never reach the stand-in library
-    lib = types.SimpleNamespace(bs_encode=lambda *args: 0, bs_decode=lambda *args: 0,
-                                bs_free=lambda buf: None,
-                                bs_pass_step=lambda *args: pytest.fail("the kernel ran"))
-    step = codec._kernel_coder(lib)[2]((4, 4))
+    step = codec._kernel_coder(_stand_in(bs_free=lambda buf: None))[2]((4, 4))
     grid = np.full((4, 4), 100, np.int16)
     for args in [(grid[:3], grid, grid, 1, [1, 5]), (grid, grid, grid, 1, list(range(128)))]:
         with pytest.raises(ValueError, match="a pass step of grids of shape"):
             step(*args)
+
+
+def test_kernel_transform_raises_memory_error_when_the_kernel_has_no_memory():
+    # a stand-in library whose bs_forward and bs_inverse report no memory,
+    # which the real ones do only when their two grids cannot be allocated
+    lib = _stand_in(bs_forward=lambda *args: codec._KERNEL_NO_MEMORY,
+                    bs_inverse=lambda *args: codec._KERNEL_NO_MEMORY)
+    *_, forward, inverse = codec._kernel_coder(lib)
+    image = np.full((4, 4), 100, np.uint8)
+    with pytest.raises(MemoryError, match="no memory for the transform's grids"):
+        forward(image, 1, 1, 4)
+    with pytest.raises(MemoryError, match="no memory for the transform's grids"):
+        inverse(image, np.full((4, 4), 2, np.uint8), 1, 1, 4)
+
+
+def test_kernel_inverse_refuses_a_map_of_another_shape():
+    # bs_inverse reads the map at the image's shape: a map of another never
+    # reaches the stand-in library
+    inverse = codec._kernel_coder(_stand_in())[4]
+    with pytest.raises(ValueError, match="an inverse of an image of shape"):
+        inverse(np.full((4, 4), 100, np.uint8), np.full((4, 3), 2, np.uint8), 1, 1, 4)
 
 
 @needs_kernel
@@ -600,13 +629,45 @@ def _pass_step_records(cover, shift, thresholds, t_evens):
     return b"".join(record), expected, grids
 
 
+def _transform_records(cover, shift, pairs):
+    """'f' and 'i' records of coder_driver.c for the cover's forward and
+    inverse at each (t_even, t_odd) of pairs, plus inverses of its shifted
+    image with one marked cell moved off the endpoints and with a map that
+    recovers a value outside [0, 255], and the lines the NumPy chain gives
+    for them."""
+    records, expected = [], []
+    head = struct.pack("<QQ", *cover.shape)
+    for t_even, t_odd in pairs:
+        params = PreprocessParams(shift, t_even, t_odd)
+        out = preprocess._ForwardCache(cover, shift).forward(params)
+        shifted, symbols = out.shifted, out.locmap.symbols
+        records.append(b"f" + head + struct.pack("<iii", shift, t_even, t_odd) + cover.tobytes())
+        expected.append(f"f 0 {shifted.tobytes().hex()} {symbols.tobytes().hex()}")
+        # the last cell marked where its value is no endpoint, and every
+        # cell 2t below the low endpoint, which undone moves further below
+        off, off_map = shifted.copy(), symbols.copy()
+        off[-1, -1], off_map[-1, -1] = 128, 0
+        low = np.full_like(shifted, shift), np.zeros_like(symbols)
+        for image, damaged in [(shifted, symbols), (off, off_map), low]:
+            records.append(b"i" + head + struct.pack("<iii", shift, t_even, t_odd)
+                           + image.tobytes() + damaged.tobytes())
+            try:
+                cover_out = preprocess._inverse_chain(image, damaged, params)
+                expected.append(f"i 0 0 {cover_out.tobytes().hex()}")
+            except CorruptionError as exc:
+                found = re.search(r"cell \((\d+), (\d+)\)", str(exc))
+                at = int(found[1]) * cover.shape[1] + int(found[2]) if found else 0
+                expected.append(f"i {4 if found else 5} {at} ")
+    return records, expected
+
+
 def test_kernel_runs_clean_under_sanitizers(tmp_path):
     """_coder.c built with AddressSanitizer and UndefinedBehaviorSanitizer
-    codes and decodes a damaged-stream corpus, and runs the pick-only
-    sweep's pass step on the thinnest grids, where the border ring's
-    neighbour tests decide every cell, and on a shift-3 cover whose even
-    passes leave [0, 255], with no report and with the Python loops' and
-    the NumPy step's results."""
+    codes and decodes a damaged-stream corpus, runs the pick-only sweep's
+    pass step, and forward and inverse, on the thinnest grids, where the
+    border ring's neighbour tests decide every cell, and on a shift-3 cover
+    whose even passes leave [0, 255], with no report and with the Python
+    loops', the NumPy step's and the NumPy chain's results."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
@@ -648,6 +709,13 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
             expected += lines
             outside |= any(g.min() < 0 or g.max() > 255 for g in grids)
     assert outside
+    # the same covers: the thin grids, the dark 64x64 cover, whose rows are
+    # taken 16 cells at a time, and the two whose passes leave [0, 255]
+    for cover, shift in step_covers:
+        lines = _transform_records(cover, shift, [(1, 4), (5, 127), (127, 1)])
+        records += lines[0]
+        expected += lines[1]
+    assert {line[:3] for line in expected if line[0] in "fi"} == {"f 0", "i 0", "i 4", "i 5"}
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1"}
     done = subprocess.run([str(driver)], input=b"".join(records), capture_output=True, env=env)
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]

@@ -36,7 +36,7 @@ from boundshift import (
     sweep,
     write_pgm,
 )
-from boundshift import cli, embedder, pipeline, preprocess
+from boundshift import cli, codec, embedder, pipeline, preprocess
 from boundshift.formats import (
     FRAME_HEADER_BITS,
     bits_to_bytes,
@@ -88,11 +88,17 @@ def test_round_trip_boundary_heavy_cover():
     _round_trip(cover, bits, params)
 
 
+def _force_the_numpy_chain(monkeypatch):
+    """Run forward and inverse through preprocess's NumPy chain, as they run
+    where the kernel did not load."""
+    monkeypatch.setattr(codec, "_forward", None)
+    monkeypatch.setattr(codec, "_inverse", None)
+
+
 def test_round_trip_does_each_step_once(monkeypatch, fresh_embedder):
     cover = _pooled_field(default_rng(15), 32, 32, 40, 45)
     params = PreprocessParams(1, 1, 4)
     bits = default_rng(16).integers(0, 2, max_payload(cover, params) // 2, dtype=np.uint8)
-    fresh_embedder()
     calls = []
 
     def count(name, fn):
@@ -109,17 +115,31 @@ def test_round_trip_does_each_step_once(monkeypatch, fresh_embedder):
     for name in ("forward", "compress", "frame_payload", "deframe_payload",
                  "decompress", "inverse"):
         monkeypatch.setattr(pipeline, name, count(name, getattr(pipeline, name)))
+    for name in ("_forward", "_inverse"):
+        if getattr(codec, name) is not None:
+            monkeypatch.setattr(codec, name, count(f"kernel{name}", getattr(codec, name)))
     cls = embedder.PredictionErrorEmbedder
     monkeypatch.setattr(cls, "capacity", count("capacity", cls.capacity))
+    steps = sorted(["forward", "compress", "capacity", "frame_payload", "deframe_payload",
+                    "decompress", "inverse"])
 
+    if codec._forward is not None:
+        fresh_embedder()
+        _round_trip(cover, bits, params)
+        # forward and inverse each run the kernel once and predict nothing;
+        # capacity predicts the shifted image (embed reuses its errors) and
+        # extract the marked one
+        assert calls.count("predict_grid") == 2
+        assert sorted(c for c in calls if c != "predict_grid") == sorted(
+            steps + ["kernel_forward", "kernel_inverse"])
+        calls.clear()
+    _force_the_numpy_chain(monkeypatch)
+    fresh_embedder()
     _round_trip(cover, bits, params)
     # forward predicts the cover and its even pass, capacity the shifted
-    # image (embed reuses its errors), extract the marked one, inverse both
-    # undone passes
+    # image, extract the marked one, inverse both undone passes
     assert calls.count("predict_grid") == 6
-    steps = [c for c in calls if c != "predict_grid"]
-    assert sorted(steps) == sorted(["forward", "compress", "capacity", "frame_payload",
-                                    "deframe_payload", "decompress", "inverse"])
+    assert sorted(c for c in calls if c != "predict_grid") == steps
 
 
 def test_every_prediction_takes_the_int16_domain(monkeypatch, tmp_path, fresh_embedder):
@@ -133,26 +153,40 @@ def test_every_prediction_takes_the_int16_domain(monkeypatch, tmp_path, fresh_em
     cover = _dark(default_rng(17), 32, 32)
     params = PreprocessParams(1, 1, 4)
     bits = default_rng(18).integers(0, 2, max_payload(cover, params) // 2, dtype=np.uint8)
-    fresh_embedder()
+    save_pgm(tmp_path / "dark.pgm", cover)
     # wrapped where the callers look it up, as the benchmark traces it
     for module in (preprocess, embedder, cli):
         monkeypatch.setattr(module, "predict_grid", traced)
-    _round_trip(cover, bits, params)
-    calls = [len(inputs)]
-    sweep(cover, range(1, 4), 1)
-    calls.append(len(inputs))
-    save_pgm(tmp_path / "dark.pgm", cover)
-    assert cli.main(["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv"),
-                     "--t-even", "1", "--t-odd", "4",
-                     "--joint-hist", str(tmp_path / "joint")]) == 0
-    calls.append(len(inputs))
-    # each run predicted, the last call being the joint histogram's of the cover
+
+    def run():
+        """How many predictions a round trip, a sweep and an analyze make,
+        counted from the first."""
+        inputs.clear()
+        fresh_embedder()
+        _round_trip(cover, bits, params)
+        calls = [len(inputs)]
+        sweep(cover, range(1, 4), 1)
+        calls.append(len(inputs))
+        assert cli.main(["analyze", str(tmp_path), "--report", str(tmp_path / "r.csv"),
+                         "--t-even", "1", "--t-odd", "4",
+                         "--joint-hist", str(tmp_path / "joint")]) == 0
+        calls.append(len(inputs))
+        # the last call being the joint histogram's of the cover
+        assert np.array_equal(inputs[-1], cover)
+        for a in inputs:
+            assert a.dtype in (np.uint8, np.int16)
+            assert int(np.abs(a.astype(np.int32)).max()) <= 2**12
+        assert all(r.dtype == np.int16 for r in results)
+        return calls
+
+    if codec._forward is not None:
+        # the kernel's forward and inverse predict nothing: capacity and
+        # extract predict once each
+        calls = run()
+        assert calls[0] == 2 < calls[1] < calls[2]
+    _force_the_numpy_chain(monkeypatch)
+    calls = run()
     assert calls[0] == 6 < calls[1] < calls[2]
-    assert np.array_equal(inputs[-1], cover)
-    for a in inputs:
-        assert a.dtype in (np.uint8, np.int16)
-        assert int(np.abs(a.astype(np.int32)).max()) <= 2**12
-    assert all(r.dtype == np.int16 for r in results)
 
 
 def test_empty_payload_still_recovers_cover():

@@ -15,10 +15,12 @@ from boundshift import (
     forward,
     inverse,
 )
+from boundshift.fixtures import _blobs, _dark
 from boundshift.predictor import predict_grid
-from boundshift.preprocess import _apply_pass, boundary_count_after
+from boundshift.preprocess import _apply_pass, _ForwardCache, _inverse_chain, boundary_count_after
 
 from oracle_handtrace import CASE_A, CASE_B, COVER_3X3
+from test_sweep import _STEP_SHAPES, KEY_EDGES, _odd_step_covers, needs_kernel_step
 
 
 @pytest.mark.parametrize("case", [CASE_A, CASE_B], ids=["t_odd_1", "t_odd_4"])
@@ -183,3 +185,106 @@ def test_inverse_rejects_impossible_recovery():
     shifted[0, 0] = 1
     with pytest.raises(CorruptionError):
         inverse(shifted, tampered_map, params)
+
+
+def _check_transform(cover, params):
+    """forward and inverse, through the kernel, against the NumPy chain
+    (_ForwardCache.forward and _inverse_chain), output for output and dtype
+    for dtype; returns the forward output."""
+    out = forward(cover, params)
+    want = _ForwardCache(cover, params.shift).forward(params)
+    for got, expected in [(out.shifted, want.shifted), (out.locmap.symbols, want.locmap.symbols)]:
+        assert got.dtype == expected.dtype == np.uint8
+        assert np.array_equal(got, expected)
+    assert out.locmap.alphabet_size == want.locmap.alphabet_size
+    recovered = inverse(out.shifted, out.locmap, params)
+    assert recovered.dtype == np.uint8
+    assert np.array_equal(recovered, cover)
+    assert np.array_equal(_inverse_chain(out.shifted, out.locmap.symbols, params), cover)
+    return out
+
+
+# the kernel takes a row's inner cells 16 at a time, from column 1: rows of
+# 17 to 70 cells have none, one or more such blocks and 0 to 15 cells after
+_TRANSFORM_SHAPES = st.one_of(_STEP_SHAPES, st.tuples(st.integers(3, 6), st.integers(17, 70)))
+
+
+@needs_kernel_step
+@settings(max_examples=200, deadline=None)
+@given(
+    cover=_odd_step_covers(_TRANSFORM_SHAPES),
+    shift=st.sampled_from([1, 2, 3, 5, 127]),
+    t_even=st.integers(1, 127),
+    t_odd=st.integers(1, 127),
+)
+def test_kernel_transform_matches_the_numpy_chain(cover, shift, t_even, t_odd):
+    _check_transform(cover, PreprocessParams(shift, t_even, t_odd))
+
+
+@needs_kernel_step
+@pytest.mark.parametrize("name", sorted(KEY_EDGES))
+def test_kernel_transform_matches_the_numpy_chain_at_the_key_edges(name):
+    # at shift 3 the pools' and the noise's passes leave [0, 255]
+    cover, _, leaves_range = KEY_EDGES[name]
+    outside = False
+    for shift in (1, 3):
+        for t_even in (1, 2, 5, 126, 127):
+            for t_odd in (1, 2, 5, 126, 127):
+                params = PreprocessParams(shift, t_even, t_odd)
+                _check_transform(cover, params)
+                passes = _ForwardCache(cover, shift)
+                grid = _apply_pass(*passes.even_pass(t_even), 1, t_odd, shift, +1)
+                outside |= bool(grid.min() < 0 or grid.max() > 255)
+    assert outside or not leaves_range
+
+
+@needs_kernel_step
+@pytest.mark.parametrize("size", [128, 512])
+@pytest.mark.parametrize("kind", ["dark", "blobs"])
+def test_kernel_transform_matches_the_numpy_chain_on_large_covers(kind, size):
+    rng = default_rng(113)
+    cover = _dark(rng, size, size) if kind == "dark" else _blobs(rng, size, size, 0.45)
+    for params in [(1, 1, 4), (3, 5, 127), (1, 127, 127), (2, 16, 3)]:
+        _check_transform(cover, PreprocessParams(*params))
+
+
+def _inverse_outcome(inverse_fn, shifted, symbols, params):
+    """The recovered cover, as dtype and bytes, or the CorruptionError."""
+    try:
+        got = inverse_fn(shifted, symbols, params)
+    except CorruptionError as exc:
+        return f"CorruptionError: {exc}"
+    return got.dtype, got.tobytes()
+
+
+@needs_kernel_step
+def test_kernel_inverse_refuses_damaged_inputs_as_the_numpy_chain_does():
+    """Shifted images and maps damaged within inverse's input checks: a
+    marked cell moved off the endpoints, and values and symbols redrawn at
+    random, which can make a recovered cover leave [0, 255]. Both paths
+    give the same cover or the same message."""
+    rng = default_rng(41)
+    kinds = set()
+    for k in range(300):
+        h, w = int(rng.integers(2, 30)), int(rng.integers(2, 30))
+        shift = int(rng.choice([1, 2, 3, 5, 127]))
+        params = PreprocessParams(shift, int(rng.integers(1, 128)), int(rng.integers(1, 128)))
+        cover = rng.choice(np.array([0, 1, 2, 3, 128, 252, 253, 254, 255], np.uint8), (h, w))
+        out = forward(cover, params)
+        shifted, symbols = out.shifted.copy(), out.locmap.symbols.copy()
+        cells = rng.integers(0, h * w, int(rng.integers(1, 4)))
+        if k % 2:
+            # a marked cell whose value is no endpoint
+            symbols.flat[cells] = rng.integers(0, 2 * shift, cells.size)
+            shifted.flat[cells] = rng.integers(shift, 256 - shift, cells.size)
+        else:
+            ends = np.array([shift, 255 - shift, 128], np.uint8)
+            symbols.flat[cells] = rng.integers(0, 2 * shift + 1, cells.size)
+            shifted.flat[cells] = rng.choice(ends, cells.size)
+        locmap = LocationMap(symbols, 2 * shift + 1)
+        got = _inverse_outcome(lambda a, m, p: inverse(a, locmap, p), shifted, symbols, params)
+        assert got == _inverse_outcome(_inverse_chain, shifted, symbols, params)
+        kinds.add("recovered" if not isinstance(got, str) else
+                  "off endpoint" if "is not an interior-range endpoint" in got else got)
+    assert kinds == {"recovered", "off endpoint",
+                     "CorruptionError: recovered cover leaves [0, 255]; inputs are inconsistent"}
