@@ -120,18 +120,62 @@
  * after the unclamp and [-254, 509] after the odd pass is undone. So a
  * sum of 4 neighbours lies in [-1016, 2036], twice a sum of at most 3 in
  * [-1524, 3054], and n(511 - 2T) is at most 4 * 509 = 2036.
+ *
+ * bs_capacity, bs_embed and bs_extract are embedder.capacity, embed and
+ * extract past their checks, one raster loop each over an h x w uint8
+ * grid and its prediction (predict_grid's int16 output), with the results
+ * of the NumPy bodies, which are the fallback and the reference the tests
+ * compare against. predict_grid returns a view of its summed buffer whose
+ * rows lie w + 1 cells apart, so each function takes the prediction's row
+ * stride and reads cell (r, c) at pred[r * stride + c], c < w: the view is
+ * read where it lies, not copied. The NumPy bodies lay the even cells'
+ * errors e = v - p out row by row, each row's even cells in column order,
+ * and pick carriers and codes in that order (a short row's padding of 2
+ * is no even cell and carries nothing). The loops visit the even cells,
+ * columns r & 1, r & 1 + 2, ... of row r, in the same order, so:
+ * - bs_capacity counts the cells of e in {0, -1}, as capacity does;
+ * - bs_embed gives the k-th such cell e + bit (2e + 1), bit the k-th
+ *   payload bit or 0 past the payload, 0 to 1 and -1 to -2 for a 1, and
+ *   moves every other error one step away from zero, (e >= 1) - (e <= -2),
+ *   as embed's delta does; a carrier's step is 0 there and any other
+ *   cell's bit weight is 0, so one table per error holds both cases;
+ * - bs_extract reads the code c of each cell in [-2, 1] as the bit
+ *   c >= 0 ? c : -(c + 1), and moves every code back by
+ *   (c <= -2) - (c >= 1), as extract does.
+ * Every value fits its type. A uint8 grid's prediction is a mean of values
+ * in [0, 255], so it lies in [0, 255] and an error or code in
+ * [-255, 255]: e + 255 indexes the 511-entry tables. bs_embed's grid lies
+ * in [1, 254] (embed checks it) and moves by at most 1, so the marked
+ * value lies in [0, 255]. In bs_extract a code >= 1 is a value of at least
+ * p + 1 >= 1, and a code <= -2 one of at most p - 2 <= 253, so the
+ * restored value lies in [0, 254]. bs_capacity's test
+ * (uint16_t)(e + 1) <= 1 holds for e + 1 in {0, 1} only, as e + 1 lies in
+ * [-254, 256] and a negative one wraps to 65,282 or more, and a block's
+ * count is at most BLOCK. The bit index k counts the carriers (or codes in
+ * the window) before the current even cell, so it is below the even
+ * cells' count, (h w + 1) / 2, the size of bits: bs_embed reads bits[k],
+ * bs_extract writes it, at every even cell, and moves k on only past a
+ * carrier (a code in the window).
+ * Why tables. k carries from cell to cell, so those two loops cannot be
+ * vectorised; a lookup of the cell's move, and of whether it carries, by
+ * its error keeps each cell to a few instructions with no branch: at
+ * 512x512, on a 2-core Xeon virtual machine (cc -O2), the loops took about
+ * 0.55 (bs_embed) and 0.75 (bs_extract) of the time of branch-free
+ * compares that pick the same move.
  * Why the loops are blocked. GCC's -O2 vectoriser (its very-cheap cost
  * model) takes only a loop whose trip count it knows to be a multiple of
  * the vector width, so a plain loop over a row stays scalar. Each
  * cell-wise loop here takes BLOCK cells at a time through restrict
  * pointers, and the last few cells one at a time. A blocked row computes
  * the step of every cell of the block, both parities, and a mask of the
- * pass's parity keeps half of them, so every load is contiguous. The
+ * pass's parity keeps half of them, so every load is contiguous;
+ * bs_capacity's count is blocked the same way. The
  * border ring and each interior row's first and last cells go one at a
  * time with their neighbours counted.
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define TOP_BIT 0x80000000u
 #define SECOND_BIT 0x40000000u
@@ -590,4 +634,91 @@ int bs_inverse(const uint8_t *restrict shifted, const uint8_t *restrict symbols,
     bad |= narrow(a, cover, i, n - i);
     free(a);
     return bad ? BS_OUT_OF_RANGE : BS_OK;
+}
+
+/* embedder.capacity past its checks: the even cells of an h x w uint8 grid
+ * whose error is 0 or -1, its prediction's rows stride cells apart. A row
+ * is taken BLOCK cells at a time, each cell's test masked by its parity,
+ * and its last cells one at a time. */
+uint64_t bs_capacity(const uint8_t *restrict grid, const int16_t *restrict pred, uint64_t stride,
+                     uint64_t h, uint64_t w) {
+    uint16_t even[BLOCK + 1];
+    uint64_t room = 0;
+    for (int j = 0; j <= BLOCK; j++)
+        even[j] = (uint16_t)(j % 2 == 0);
+    for (uint64_t r = 0; r < h; r++) {
+        const uint8_t *v = grid + r * w;
+        const int16_t *p = pred + r * stride;
+        /* even[j] of a block of the row is whether cell j is even, the
+         * same for every block, as BLOCK is even */
+        const uint16_t *mask = even + (r & 1);
+        uint64_t c = 0;
+        for (; c + BLOCK <= w; c += BLOCK) {
+            const uint8_t *vb = v + c;
+            const int16_t *pb = p + c;
+            uint16_t count = 0;
+            for (int j = 0; j < BLOCK; j++)
+                count = (uint16_t)(count + (((uint16_t)(vb[j] - pb[j] + 1) <= 1) & mask[j]));
+            room += count;
+        }
+        for (c += (r + c) & 1; c < w; c += 2)
+            room += (uint32_t)(v[c] - p[c] + 1) <= 1;
+    }
+    return room;
+}
+
+/* embedder.embed past its checks, into out: bits holds a byte per even
+ * cell, the payload then zeros. An even cell of error e moves by
+ * move[e + 255][bit], bit the next payload bit where e is a carrier's. */
+void bs_embed(const uint8_t *restrict grid, const int16_t *restrict pred, uint64_t stride,
+              uint64_t h, uint64_t w, const uint8_t *restrict bits, uint8_t *restrict out) {
+    int8_t move[511][2];
+    uint8_t carrier[511];
+    uint64_t k = 0;
+    for (int32_t e = -255; e <= 255; e++) {
+        int32_t shift = (e >= 1) - (e <= -2), carries_bit = e == 0 || e == -1;
+        move[e + 255][0] = (int8_t)shift;
+        move[e + 255][1] = (int8_t)(carries_bit ? 2 * e + 1 : shift);
+        carrier[e + 255] = (uint8_t)carries_bit;
+    }
+    for (uint64_t r = 0; r < h; r++) {
+        const uint8_t *v = grid + r * w;
+        const int16_t *p = pred + r * stride;
+        uint8_t *o = out + r * w;
+        memcpy(o, v, w);
+        for (uint64_t c = r & 1; c < w; c += 2) {
+            int32_t i = v[c] - p[c] + 255;
+            o[c] = (uint8_t)(v[c] + move[i][bits[k] & 1]);
+            k += carrier[i];
+        }
+    }
+}
+
+/* embedder.extract past its checks: writes the bit of each even cell whose
+ * code is in [-2, 1] to bits, which holds a byte per even cell, and the
+ * restored grid to out; returns the number of bits. code[c + 255] holds a
+ * code c's bit, and 2 where c is in the window. */
+uint64_t bs_extract(const uint8_t *restrict grid, const int16_t *restrict pred, uint64_t stride,
+                    uint64_t h, uint64_t w, uint8_t *restrict bits, uint8_t *restrict out) {
+    uint8_t code[511];
+    int8_t undo[511];
+    uint64_t k = 0;
+    for (int32_t c = -255; c <= 255; c++) {
+        int32_t bit = c >= 0 ? c : -(c + 1), window = -2 <= c && c <= 1;
+        code[c + 255] = (uint8_t)((bit & 1) | window << 1);
+        undo[c + 255] = (int8_t)((c <= -2) - (c >= 1));
+    }
+    for (uint64_t r = 0; r < h; r++) {
+        const uint8_t *v = grid + r * w;
+        const int16_t *p = pred + r * stride;
+        uint8_t *o = out + r * w;
+        memcpy(o, v, w);
+        for (uint64_t c = r & 1; c < w; c += 2) {
+            int32_t i = v[c] - p[c] + 255;
+            bits[k] = code[i] & 1;
+            k += code[i] >> 1;
+            o[c] = (uint8_t)(v[c] + undo[i]);
+        }
+    }
+    return k;
 }

@@ -48,6 +48,13 @@ both passes undone, in one C call each, with no prediction grid. _forward
 and _inverse are their wrappers, or None where the kernel did not load,
 and preprocess then runs its NumPy chain.
 
+And it holds the embedder's capacity, embed and extract past their checks,
+bs_capacity, bs_embed and bs_extract: one raster loop each over the even
+cells of a grid and of predict_grid's output for it, read in place with its
+rows w + 1 cells apart. _capacity, _embed and _extract are their wrappers,
+or None where the kernel did not load, and the embedder then runs its NumPy
+bodies.
+
 _floors bounds the coded lengths of the maps of one even pass from below
 at once, without coding them, from the model alone (_floor_bits); the
 pick-only sweep skips the maps it rules out.
@@ -207,9 +214,9 @@ def _decode_py(data, bit_length, count, alphabet_size):
 
 
 def _kernel_coder(lib):
-    """(encode, decode, pass step, forward, inverse) calling the compiled
-    kernel in lib: encode and decode with the signatures and results of
-    _encode_py and _decode_py."""
+    """(encode, decode, pass step, forward, inverse, capacity, embed,
+    extract) calling the compiled kernel in lib: encode and decode with the
+    signatures and results of _encode_py and _decode_py."""
     lib.bs_encode.argtypes = [ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p]
     lib.bs_encode.restype = ctypes.c_uint64
     lib.bs_decode.argtypes = [
@@ -340,7 +347,61 @@ def _kernel_coder(lib):
             return status, divmod(at.value, shifted.shape[1])
         return status, cover if status == 0 else None
 
-    return encode, decode, PassStep, forward, inverse
+    lib.bs_capacity.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64,
+                                ctypes.c_uint64, ctypes.c_uint64]
+    lib.bs_capacity.restype = ctypes.c_uint64
+    for f in (lib.bs_embed, lib.bs_extract):
+        f.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_uint64, ctypes.c_uint64,
+                      ctypes.c_uint64, ctypes.c_void_p, ctypes.c_void_p]
+    lib.bs_embed.restype = None
+    lib.bs_extract.restype = ctypes.c_uint64
+
+    def rows(grid, pred):
+        """(grid, pred, pred's row stride in cells, the even cells' count) as
+        the embedder's loops read them: a C-contiguous uint8 grid and its
+        int16 prediction, whose rows may lie apart (predict_grid's lie
+        w + 1 cells apart), each row contiguous."""
+        grid = np.ascontiguousarray(grid, dtype=np.uint8)
+        pred = np.asarray(pred, dtype=np.int16)
+        # the kernel reads within the grid's shape only
+        if grid.ndim != 2 or pred.shape != grid.shape:
+            raise ValueError(f"the embedder's loops over a grid of shape {grid.shape} and a "
+                             f"prediction of shape {pred.shape}")
+        row, cell = pred.strides
+        if cell != 2 or row < 0 or row % 2:
+            pred = np.ascontiguousarray(pred)
+            row = pred.strides[0]
+        return grid, pred, row // 2, (grid.size + 1) // 2
+
+    def capacity(grid, pred):
+        """embedder.capacity of a uint8 grid predicted as pred."""
+        grid, pred, stride, _ = rows(grid, pred)
+        return lib.bs_capacity(grid.ctypes.data, pred.ctypes.data, stride, *grid.shape)
+
+    def embed(grid, pred, payload):
+        """embedder.embed of a uint8 grid predicted as pred, in [1, 254],
+        whose carriers number at least the payload's bits."""
+        grid, pred, stride, even = rows(grid, pred)
+        if payload.size > even:
+            raise ValueError(f"a payload of {payload.size} bits for {even} even cells")
+        bits = np.zeros(even, dtype=np.uint8)
+        bits[:payload.size] = payload
+        out = np.empty(grid.shape, dtype=np.uint8)
+        lib.bs_embed(grid.ctypes.data, pred.ctypes.data, stride, *grid.shape, bits.ctypes.data,
+                     out.ctypes.data)
+        return out
+
+    def extract(grid, pred):
+        """embedder.extract of a uint8 grid predicted as pred: (the carrier
+        stream, the restored grid)."""
+        grid, pred, stride, even = rows(grid, pred)
+        bits = np.empty(even, dtype=np.uint8)
+        out = np.empty(grid.shape, dtype=np.uint8)
+        n = lib.bs_extract(grid.ctypes.data, pred.ctypes.data, stride, *grid.shape,
+                           bits.ctypes.data, out.ctypes.data)
+        return bits[:n], out
+
+    return encode, decode, PassStep, forward, inverse, capacity, embed, extract
 
 
 def _compile_kernel(path):
@@ -364,11 +425,11 @@ def _compile_kernel(path):
 
 
 def _load_coder(cache_dir):
-    """(encode, decode, pass step, forward, inverse) from the compiled
-    kernel cached in cache_dir as _coder-<source CRC-32>.so, compiling
-    _coder.c there first if that file is missing; the Python loops and no
-    pass step, forward or inverse (None) if the kernel cannot be built or
-    loaded.
+    """(encode, decode, pass step, forward, inverse, capacity, embed,
+    extract) from the compiled kernel cached in cache_dir as
+    _coder-<source CRC-32>.so, compiling _coder.c there first if that file
+    is missing; the Python loops and None for each of the others if the
+    kernel cannot be built or loaded.
     A CRC-32 names the source well enough for a cache, and zlib is already
     loaded where hashlib would pull in OpenSSL."""
     try:
@@ -379,10 +440,11 @@ def _load_coder(cache_dir):
             _compile_kernel(path)
         return _kernel_coder(ctypes.CDLL(path))
     except OSError:
-        return _encode_py, _decode_py, None, None, None
+        return _encode_py, _decode_py, None, None, None, None, None, None
 
 
-_encode, _decode, _pass_step, _forward, _inverse = _load_coder(
+(_encode, _decode, _pass_step, _forward, _inverse,
+ _capacity, _embed, _extract) = _load_coder(
     os.path.join(os.path.dirname(_KERNEL_SOURCE), "__pycache__"))
 
 

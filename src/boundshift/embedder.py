@@ -7,10 +7,16 @@ prediction carry one bit each at e = 0 and e = -1; all other errors shift
 outward by one to make room. Per-pixel change is at most 1, so any image
 inside [1, 254] survives without overflow. What it carries, the framed
 bitstream, is laid out by formats.
+
+The embedder calls predict_grid once per image; where the compiled kernel
+loaded, capacity, embed and extract then run one C loop each over the
+image and that prediction (codec._capacity, codec._embed, codec._extract),
+and the NumPy bodies below are the fallback and the tests' reference.
 """
 
 import numpy as np
 
+from . import codec
 from .errors import CapacityError, ValidationError
 # bench/spans.py reads FRAME_HEADER_BITS here until the library carries its
 # own stage tracer (ROADMAP item 1)
@@ -75,38 +81,54 @@ class PredictionErrorEmbedder:
     """Histogram shifting on even-lattice prediction errors, peaks 0 and -1;
     pixels must lie in [1, 254] and move by at most max_shift.
 
-    An embedder keeps the error grid of the last image it analysed, with a
-    private copy of that image, so capacity then embed of one image, or the
-    cells of a sweep whose shifted image repeats, predict it once. The entry
-    is used only for an image equal to the copy, so results are those of a
-    fresh prediction, and it is read and replaced as one tuple, so threads
-    sharing an embedder never see one image's copy with another's errors."""
+    An embedder keeps the prediction of the last image it analysed, with a
+    private copy of that image and, once capacity has counted it, its room,
+    so capacity then embed of one image, or the cells of a sweep whose
+    shifted image repeats, predict it once. The entry is used only for an
+    image equal to the copy, so results are those of a fresh prediction,
+    and it is read and replaced as one tuple, so threads sharing an
+    embedder never see one image's copy with another's prediction."""
 
     max_shift = 1
 
     def __init__(self):
         self._last = None
 
-    def _even_errors(self, grid):
-        """The even cells' prediction errors of a uint8 grid, read-only. The
-        two strided sub-lattices g[0::2, 0::2] and g[1::2, 1::2] interleave
-        by row into one (h, ceil(w/2)) int16 grid of errors in raster order;
-        a row one even cell short ends in 2, which carries no bit."""
+    def _predicted(self, grid):
+        """The entry of a uint8 grid: (its copy, its prediction, its room or
+        None before capacity has counted it)."""
         last = self._last
-        if last is not None and np.array_equal(last[0], grid):
-            return last[1]
-        pred = predict_grid(grid)
+        if last is None or not np.array_equal(last[0], grid):
+            pred = predict_grid(grid)
+            pred.flags.writeable = False
+            last = self._last = (grid.copy(), pred, None)
+        return last
+
+    def _room(self, grid):
+        """The entry of a uint8 grid with its room, counted by the kernel."""
+        last = self._predicted(grid)
+        if last[2] is None:
+            last = self._last = (*last[:2], codec._capacity(*last[:2]))
+        return last
+
+    def _even_errors(self, grid):
+        """The even cells' prediction errors of a uint8 grid. The two
+        strided sub-lattices g[0::2, 0::2] and g[1::2, 1::2] interleave by
+        row into one (h, ceil(w/2)) int16 grid of errors in raster order; a
+        row one even cell short ends in 2, which carries no bit."""
+        pred = self._predicted(grid)[1]
         h, w = grid.shape
         errors = np.full((h, (w + 1) // 2), 2, dtype=np.int16)
         np.subtract(grid[0::2, 0::2], pred[0::2, 0::2], out=errors[0::2])
         np.subtract(grid[1::2, 1::2], pred[1::2, 1::2], out=errors[1::2, :w // 2])
-        errors.flags.writeable = False
-        self._last = (grid.copy(), errors)
         return errors
 
     def capacity(self, img):
         """Number of payload bits img can carry."""
-        errors = self._even_errors(as_gray(img))
+        a = as_gray(img)
+        if codec._capacity is not None:
+            return self._room(a)[2]
+        errors = self._even_errors(a)
         return int(np.count_nonzero((errors == 0) | (errors == -1)))
 
     def embed(self, img, bits):
@@ -115,14 +137,13 @@ class PredictionErrorEmbedder:
         payload = as_bits(bits)
         if int(a.min()) < 1 or int(a.max()) > 254:
             raise ValidationError("embedding needs pixels in [1, 254]")
+        if codec._embed is not None:
+            copy, pred, room = self._room(a)
+            _check_room(payload, room)
+            return codec._embed(copy, pred, payload)
         errors = self._even_errors(a)
         carriers = np.flatnonzero((errors == 0) | (errors == -1))
-        room = carriers.size
-        if payload.size > room:
-            raise CapacityError(
-                f"payload of {payload.size} bits exceeds capacity {room}",
-                deficit_bits=payload.size - room,
-            )
+        _check_room(payload, carriers.size)
         # a marked error is e + delta: every other error moves one step away
         # from zero, and a 1 bit moves a carrier's e by 2e + 1, 0 to 1 and -1 to -2
         delta = (errors >= 1).view(np.int8) - (errors <= -2).view(np.int8)
@@ -133,6 +154,9 @@ class PredictionErrorEmbedder:
     def extract(self, marked):
         """Return (full carrier bit stream, original image)."""
         a = as_gray(marked)
+        if codec._extract is not None:
+            copy, pred, _ = self._predicted(a)
+            return codec._extract(copy, pred)
         coded = self._even_errors(a)
         # picked through np.flatnonzero: masked indexing branches on every cell
         c = coded.ravel()[np.flatnonzero((coded >= -2) & (coded <= 1))]
@@ -142,3 +166,12 @@ class PredictionErrorEmbedder:
         # code >= 1 is a value of at least 1 and a code <= -2 one of at most 253
         delta = (coded <= -2).view(np.int8) - (coded >= 1).view(np.int8)
         return bits, _with_even(a, delta)
+
+
+def _check_room(payload, room):
+    """Raise CapacityError where the payload exceeds the room."""
+    if payload.size > room:
+        raise CapacityError(
+            f"payload of {payload.size} bits exceeds capacity {room}",
+            deficit_bits=payload.size - room,
+        )

@@ -14,7 +14,8 @@ on a single-row or single-column grid) divides by its true count.
 Where the compiled kernel loaded, preprocess.forward and preprocess.inverse
 call none of this: the kernel tests each moved cell's neighbor sum against
 its pass's bands directly (_coder.c). The embedder, the sweep and the
-NumPy chain of preprocess call predict_grid.
+NumPy chain of preprocess call predict_grid. The embedder's kernel loops
+read its output where it lies, rows w + 1 cells apart, with no copy.
 """
 
 from functools import lru_cache

@@ -18,6 +18,13 @@
  *       shifted image, then h * w of its map symbols
  *       -> "i <status> <position of the first cell off the endpoints, or 0>
  *          <hex of the cover, empty unless the status is 0>"
+ *   'c' u64 h, u64 w, u64 stride, h * w bytes of a grid, then its prediction:
+ *       (h - 1) * stride + w int16, its rows stride cells apart
+ *       -> "c <room>"
+ *   'm' the same, then (h * w + 1) / 2 bytes of bits
+ *       -> "m <hex of the marked grid>"
+ *   'x' the same as 'c'
+ *       -> "x <number of bits> <hex of the bits> <hex of the restored grid>"
  * Integers are little-endian, and so is the hex of an int16 or int64 array.
  * Each buffer is allocated at its exact size, so a read or write past it is
  * an AddressSanitizer report. The passes of a 'p' record share one scratch,
@@ -39,6 +46,12 @@ int bs_forward(const uint8_t *cover, uint64_t h, uint64_t w, int32_t shift, int3
                int32_t t_odd, uint8_t *out);
 int bs_inverse(const uint8_t *shifted, const uint8_t *symbols, uint64_t h, uint64_t w,
                int32_t shift, int32_t t_even, int32_t t_odd, uint8_t *cover, uint64_t *at);
+uint64_t bs_capacity(const uint8_t *grid, const int16_t *pred, uint64_t stride, uint64_t h,
+                     uint64_t w);
+void bs_embed(const uint8_t *grid, const int16_t *pred, uint64_t stride, uint64_t h, uint64_t w,
+              const uint8_t *bits, uint8_t *out);
+uint64_t bs_extract(const uint8_t *grid, const int16_t *pred, uint64_t stride, uint64_t h,
+                    uint64_t w, uint8_t *bits, uint8_t *out);
 
 static uint64_t read_u(int bytes) {
     uint64_t v = 0;
@@ -157,6 +170,35 @@ static void transform(int kind) {
     free(image);
 }
 
+/* a 'c', 'm' or 'x' record: the embedder's loops */
+static void embedder(int kind) {
+    uint64_t h = read_u(8), w = read_u(8), stride = read_u(8), n = h * w, even = (n + 1) / 2;
+    uint8_t *grid = read_bytes(n);
+    int16_t *pred = read_int16((h - 1) * stride + w);
+    if (kind == 'c') {
+        printf("c %llu\n", (unsigned long long)bs_capacity(grid, pred, stride, h, w));
+    } else {
+        uint8_t *bits = kind == 'm' ? read_bytes(even) : malloc(even), *out = malloc(n);
+        if (bits == NULL || out == NULL)
+            exit(2);
+        if (kind == 'm') {
+            bs_embed(grid, pred, stride, h, w, bits, out);
+            printf("m ");
+        } else {
+            uint64_t k = bs_extract(grid, pred, stride, h, w, bits, out);
+            printf("x %llu ", (unsigned long long)k);
+            for (uint64_t i = 0; i < k; i++)
+                printf("%02x", bits[i]);
+            printf(" ");
+        }
+        print_hex(out, n);
+        free(bits);
+        free(out);
+    }
+    free(grid);
+    free(pred);
+}
+
 int main(void) {
     int kind;
     while ((kind = getchar()) != EOF) {
@@ -187,6 +229,8 @@ int main(void) {
             pass_steps();
         } else if (kind == 'f' || kind == 'i') {
             transform(kind);
+        } else if (kind == 'c' || kind == 'm' || kind == 'x') {
+            embedder(kind);
         } else {
             fprintf(stderr, "unknown record kind %d\n", kind);
             return 2;

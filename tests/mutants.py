@@ -369,6 +369,51 @@ MUTANTS = [
            "(grid[j] < 0) | (grid[j] > 255)",
            "(grid[j] < -1) | (grid[j] > 256)",
            "a recovered cover lies in [0, 255]"),
+    # the kernel's capacity, embed and extract
+    Mutant("kernel-capacity-drops-error-zero", "src/boundshift/_coder.c",
+           "(((uint16_t)(vb[j] - pb[j] + 1) <= 1) & mask[j])",
+           "(((uint16_t)(vb[j] - pb[j] + 1) <= 0) & mask[j])",
+           "an even cell of error 0 is a carrier, in a blocked row as elsewhere"),
+    Mutant("kernel-capacity-drops-error-minus-one", "src/boundshift/_coder.c",
+           "(((uint16_t)(vb[j] - pb[j] + 1) <= 1) & mask[j])",
+           "(((uint16_t)(vb[j] - pb[j]) <= 0) & mask[j])",
+           "an even cell of error -1 is a carrier, in a blocked row as elsewhere"),
+    Mutant("kernel-capacity-last-cells-take-error-one", "src/boundshift/_coder.c",
+           "room += (uint32_t)(v[c] - p[c] + 1) <= 1;",
+           "room += (uint32_t)(v[c] - p[c] + 1) <= 2;",
+           "an even cell past a row's last block is a carrier at errors 0 and -1 only"),
+    Mutant("kernel-embed-drops-error-zero", "src/boundshift/_coder.c",
+           "carries_bit = e == 0 || e == -1;",
+           "carries_bit = e == -1;",
+           "embed writes a bit into an even cell of error 0, as capacity counts it"),
+    Mutant("kernel-embed-drops-error-minus-one", "src/boundshift/_coder.c",
+           "carries_bit = e == 0 || e == -1;",
+           "carries_bit = e == 0;",
+           "embed writes a bit into an even cell of error -1, as capacity counts it"),
+    Mutant("kernel-embed-keeps-error-one", "src/boundshift/_coder.c",
+           "int32_t shift = (e >= 1) - (e <= -2),",
+           "int32_t shift = (e >= 2) - (e <= -2),",
+           "an even cell of error 1 moves up to 2, so no marked carrier reads as it"),
+    Mutant("kernel-embed-keeps-error-minus-two", "src/boundshift/_coder.c",
+           "int32_t shift = (e >= 1) - (e <= -2),",
+           "int32_t shift = (e >= 1) - (e <= -3),",
+           "an even cell of error -2 moves down to -3, so no marked carrier reads as it"),
+    Mutant("kernel-embed-bit-index-on-every-cell", "src/boundshift/_coder.c",
+           "            k += carrier[i];",
+           "            k += 1;",
+           "the payload's next bit goes to the next carrier, not to the next even cell"),
+    Mutant("kernel-extract-window-below", "src/boundshift/_coder.c",
+           "window = -2 <= c && c <= 1;",
+           "window = -1 <= c && c <= 1;",
+           "a code of -2, a carrier of error -1 holding a 1, carries a bit"),
+    Mutant("kernel-extract-window-above", "src/boundshift/_coder.c",
+           "window = -2 <= c && c <= 1;",
+           "window = -2 <= c && c <= 0;",
+           "a code of 1, a carrier of error 0 holding a 1, carries a bit"),
+    Mutant("kernel-extract-negative-code-bit", "src/boundshift/_coder.c",
+           "int32_t bit = c >= 0 ? c : -(c + 1),",
+           "int32_t bit = c >= 0 ? c : -c,",
+           "codes -1 and -2 read as bits 0 and 1"),
 ]
 
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)

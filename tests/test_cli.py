@@ -514,10 +514,10 @@ def test_golden_corpus_report(tmp_path, corpus_dir):
 
 def test_numpy_chain_gives_the_golden_report_and_the_same_round_trips(
         tmp_path, corpus_dir, monkeypatch):
-    """forward and inverse through preprocess's NumPy chain, forced as the
-    loader falls back without a compiler, write the golden corpus report
-    and embed and extract the same files as through the kernel, where it
-    loaded."""
+    """forward and inverse through preprocess's NumPy chain, and the
+    embedder's NumPy bodies, forced as the loader falls back without a
+    compiler, write the golden corpus report and embed and extract the same
+    files as through the kernel, where it loaded."""
     covers = [_write_cover(tmp_path, "smooth.pgm")]
     for name, cover in [("dark.pgm", _pooled_field(default_rng(113), 64, 64, 40, 45)),
                         ("blobs.pgm", _blobs(default_rng(114), 96, 80, 0.45))]:
@@ -546,9 +546,9 @@ def test_numpy_chain_gives_the_golden_report_and_the_same_round_trips(
     cache.mkdir()
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     fallback = codec._load_coder(str(cache))
-    assert fallback[3:] == (None, None)
-    for name, value in zip(("_encode", "_decode", "_pass_step", "_forward", "_inverse"),
-                           fallback):
+    assert fallback[3:] == (None,) * 5
+    for name, value in zip(("_encode", "_decode", "_pass_step", "_forward", "_inverse",
+                            "_capacity", "_embed", "_extract"), fallback):
         monkeypatch.setattr(codec, name, value)
     assert round_trips(tmp_path / "numpy") == expected
     report = tmp_path / "report.csv"

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from boundshift import (
     CompressedMap,
     CorruptionError,
     LocationMap,
+    PredictionErrorEmbedder,
     PreprocessParams,
     ValidationError,
     compress,
@@ -31,6 +33,7 @@ from boundshift import (
 )
 from boundshift import codec, embedder, pipeline, preprocess
 from boundshift.fixtures import _blobs, _dark, _pooled_field
+from boundshift.predictor import predict_grid
 
 from conftest import smooth_image
 
@@ -451,10 +454,13 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     cache.mkdir()
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    encode, decode, pass_step, forward, inverse = codec._load_coder(str(cache))
-    # no pass step: a pick-only sweep runs odd_steps and _pass_rooms; and no
-    # transform: preprocess runs its NumPy chain
-    assert (encode, decode, pass_step, forward, inverse) == (*PYTHON_CODER, None, None, None)
+    (encode, decode, pass_step, forward, inverse,
+     capacity, embed, extract) = codec._load_coder(str(cache))
+    # no pass step: a pick-only sweep runs odd_steps and _pass_rooms; no
+    # transform: preprocess runs its NumPy chain; and no embedder loops:
+    # the embedder runs its NumPy bodies
+    assert (encode, decode) == PYTHON_CODER
+    assert (pass_step, forward, inverse, capacity, embed, extract) == (None,) * 6
     assert list(cache.iterdir()) == []
     monkeypatch.setattr(codec, "_encode", encode)
     monkeypatch.setattr(codec, "_decode", decode)
@@ -465,9 +471,10 @@ def test_loader_falls_back_to_python_without_a_compiler(tmp_path, monkeypatch):
 
 @needs_kernel
 def test_loader_compiles_into_an_empty_cache(tmp_path):
-    encode, decode, pass_step, forward, inverse = codec._load_coder(str(tmp_path))
+    (encode, decode, pass_step, forward, inverse,
+     capacity, embed, extract) = codec._load_coder(str(tmp_path))
     assert (encode, decode) != PYTHON_CODER
-    assert None not in (pass_step, forward, inverse)
+    assert None not in (pass_step, forward, inverse, capacity, embed, extract)
     [built] = tmp_path.iterdir()
     assert built.name.startswith("_coder-") and built.suffix == ".so"
     assert len(built.stem) == len("_coder-") + 8
@@ -485,8 +492,8 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
     monkeypatch.setattr(codec, "_KERNEL_SOURCE", str(source))
     with pytest.raises(OSError, match="cc exited with status"):
         codec._compile_kernel(str(cache / "_coder-direct.so"))
-    encode, decode, pass_step, forward, inverse = codec._load_coder(str(cache))
-    assert (encode, decode, pass_step, forward, inverse) == (*PYTHON_CODER, None, None, None)
+    encode, decode, *kernel_only = codec._load_coder(str(cache))
+    assert (encode, decode, *kernel_only) == (*PYTHON_CODER, *(None,) * 6)
     # cc ran and failed: neither its temporary file nor a library is left
     assert list(cache.glob("_coder-*.tmp")) == []
     assert list(cache.glob("*.so")) == []
@@ -498,7 +505,8 @@ def test_loader_falls_back_to_python_when_the_build_fails(tmp_path, monkeypatch)
 def _stand_in(**functions):
     """A stand-in for the kernel's library: the given functions, and for
     each other one a function that fails the test when called."""
-    names = ("bs_encode", "bs_decode", "bs_free", "bs_pass_step", "bs_forward", "bs_inverse")
+    names = ("bs_encode", "bs_decode", "bs_free", "bs_pass_step", "bs_forward", "bs_inverse",
+             "bs_capacity", "bs_embed", "bs_extract")
 
     def unexpected(name):
         return lambda *args: pytest.fail(f"{name} ran")
@@ -551,7 +559,7 @@ def test_kernel_transform_raises_memory_error_when_the_kernel_has_no_memory():
     # which the real ones do only when their two grids cannot be allocated
     lib = _stand_in(bs_forward=lambda *args: codec._KERNEL_NO_MEMORY,
                     bs_inverse=lambda *args: codec._KERNEL_NO_MEMORY)
-    *_, forward, inverse = codec._kernel_coder(lib)
+    forward, inverse = codec._kernel_coder(lib)[3:5]
     image = np.full((4, 4), 100, np.uint8)
     with pytest.raises(MemoryError, match="no memory for the transform's grids"):
         forward(image, 1, 1, 4)
@@ -565,6 +573,45 @@ def test_kernel_inverse_refuses_a_map_of_another_shape():
     inverse = codec._kernel_coder(_stand_in())[4]
     with pytest.raises(ValueError, match="an inverse of an image of shape"):
         inverse(np.full((4, 4), 100, np.uint8), np.full((4, 3), 2, np.uint8), 1, 1, 4)
+
+
+def test_kernel_embedder_loops_refuse_what_the_kernel_would_overrun():
+    # a prediction of another shape than its grid, or a payload longer than
+    # the grid's even cells, never reaches the stand-in library
+    capacity, embed, extract = codec._kernel_coder(_stand_in())[5:]
+    grid = np.full((4, 5), 100, np.uint8)
+    for call in (lambda pred: capacity(grid, pred),
+                 lambda pred: embed(grid, pred, np.zeros(0, np.uint8)),
+                 lambda pred: extract(grid, pred)):
+        for pred in (np.full((4, 4), 100, np.int16), np.full(20, 100, np.int16)):
+            with pytest.raises(ValueError, match="the embedder's loops over a grid of shape"):
+                call(pred)
+    with pytest.raises(ValueError, match="a payload of 11 bits for 10 even cells"):
+        embed(grid, np.full((4, 5), 100, np.int16), np.zeros(11, np.uint8))
+
+
+def test_kernel_embedder_loops_read_predict_grids_rows_in_place():
+    """predict_grid's rows lie w + 1 cells apart: the loops take that row
+    stride and the prediction's own buffer, not a copy. A prediction whose
+    cells are not contiguous within a row is copied first."""
+    seen = []
+
+    def record(grid, pred, stride, h, w, *out):
+        seen.append((pred, stride, h, w))
+        return 0
+
+    lib = _stand_in(bs_capacity=record, bs_embed=record, bs_extract=record)
+    capacity, embed, extract = codec._kernel_coder(lib)[5:]
+    grid = np.full((5, 7), 100, np.uint8)
+    pred = predict_grid(grid)
+    capacity(grid, pred)
+    embed(grid, pred, np.zeros(3, np.uint8))
+    extract(grid, pred)
+    assert seen == [(pred.ctypes.data, 8, 5, 7)] * 3
+    seen.clear()
+    capacity(grid, np.asfortranarray(pred))
+    [(data, stride, h, w)] = seen
+    assert data != pred.ctypes.data and (stride, h, w) == (7, 5, 7)
 
 
 @needs_kernel
@@ -661,13 +708,39 @@ def _transform_records(cover, shift, pairs):
     return records, expected
 
 
+def _embedder_records(grid, bits):
+    """'c', 'm' and 'x' records of coder_driver.c for the grid, its rows
+    predicted as predict_grid lays them out, w + 1 cells apart, and the lines
+    the embedder's NumPy bodies give for them: its capacity, its embed of
+    bits (the payload, padded with zeros) where it lies in [1, 254], and its
+    extract."""
+    h, w = grid.shape
+    pred = np.zeros((h, w + 1), "<i2")
+    pred[:, :w] = predict_grid(grid)
+    head = struct.pack("<QQQ", h, w, w + 1) + grid.tobytes() + pred.tobytes()[:-2]
+    emb = PredictionErrorEmbedder()
+    with mock.patch.multiple(codec, _capacity=None, _embed=None, _extract=None):
+        room = emb.capacity(grid)
+        records, expected = [b"c" + head, b"x" + head], [f"c {room}"]
+        stream, back = emb.extract(grid)
+        expected.append(f"x {stream.size} {stream.tobytes().hex()} {back.tobytes().hex()}")
+        if 1 <= grid.min() and grid.max() <= 254:
+            payload = bits[:room]
+            padded = np.zeros((grid.size + 1) // 2, np.uint8)
+            padded[:payload.size] = payload
+            records.append(b"m" + head + padded.tobytes())
+            expected.append(f"m {emb.embed(grid, payload).tobytes().hex()}")
+    return records, expected
+
+
 def test_kernel_runs_clean_under_sanitizers(tmp_path):
     """_coder.c built with AddressSanitizer and UndefinedBehaviorSanitizer
     codes and decodes a damaged-stream corpus, runs the pick-only sweep's
-    pass step, and forward and inverse, on the thinnest grids, where the
-    border ring's neighbour tests decide every cell, and on a shift-3 cover
-    whose even passes leave [0, 255], with no report and with the Python
-    loops', the NumPy step's and the NumPy chain's results."""
+    pass step, forward and inverse, and the embedder's capacity, embed and
+    extract, on the thinnest grids, where the border ring's neighbour tests
+    decide every cell, and on a shift-3 cover whose even passes leave
+    [0, 255], with no report and with the Python loops', the NumPy step's,
+    the NumPy chain's and the embedder's NumPy bodies' results."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler (cc) on PATH")
@@ -716,6 +789,21 @@ def test_kernel_runs_clean_under_sanitizers(tmp_path):
         records += lines[0]
         expected += lines[1]
     assert {line[:3] for line in expected if line[0] in "fi"} == {"f 0", "i 0", "i 4", "i 5"}
+    # the embedder's loops on the same covers, their shifted images and
+    # marked ones, and 1 x n and n x 1 grids, whose rows are one cell or
+    # shorter than a block
+    rng = default_rng(9)
+    grids = [_pooled_field(default_rng(1), 1, 37, 10, 45), _pooled_field(default_rng(2), 37, 1, 90, 45)]
+    for cover, _ in step_covers:
+        shifted = forward(cover, PreprocessParams(1, 1, 4)).shifted
+        emb = PredictionErrorEmbedder()
+        bits = rng.integers(0, 2, emb.capacity(shifted), dtype=np.uint8)
+        grids += [cover, shifted, emb.embed(shifted, bits)]
+    for grid in grids:
+        lines = _embedder_records(grid, rng.integers(0, 2, grid.size, dtype=np.uint8))
+        records += lines[0]
+        expected += lines[1]
+    assert sum(line[0] == "m" for line in expected) > len(step_covers)
     env = {**os.environ, "ASAN_OPTIONS": "detect_leaks=1"}
     done = subprocess.run([str(driver)], input=b"".join(records), capture_output=True, env=env)
     assert done.returncode == 0, done.stderr.decode(errors="replace")[-2000:]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,10 @@ from boundshift import (
 )
 from boundshift.imagecore import as_bits
 
-from boundshift import embedder
+from boundshift import codec, embedder
+from boundshift.fixtures import _blobs, _pooled_field
 from boundshift.predictor import predict_grid
+from boundshift.preprocess import PreprocessParams, forward
 
 import oracle_embed
 
@@ -61,22 +65,27 @@ def test_capacity_matches_brute_force():
 
 
 def _same_as_oracle(call, reference):
-    """call() equals reference(), element for element, or raises the same
-    error type with the same message."""
+    """call() equals reference(), element for element and dtype for dtype,
+    or raises the same error type with the same message and deficit_bits;
+    returns the result, or None for an error."""
     try:
         want = reference()
     except BoundShiftError as exc:
         with pytest.raises(type(exc)) as caught:
             call()
         assert str(caught.value) == str(exc)
-        return
+        assert getattr(caught.value, "deficit_bits", None) == getattr(exc, "deficit_bits", None)
+        return None
     got = call()
-    if isinstance(want, tuple):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+    assert type(got) is type(want)
+    pairs = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    assert len(pairs[0]) == len(pairs[1])
+    for g, w in zip(*pairs):
+        if isinstance(w, np.ndarray):
             assert g.dtype == w.dtype and np.array_equal(g, w)
-    else:
-        assert got == want
+        else:
+            assert g == w
+    return want
 
 
 # Every shape up to 13x13, single rows and columns and odd widths among
@@ -202,3 +211,134 @@ def test_as_bits_accepts_zeros_and_ones_of_any_dtype(bits):
 def test_as_bits_rejects_other_values(bits):
     with pytest.raises(ValidationError):
         as_bits(bits)
+
+
+# The embedder's kernel loops (codec._capacity, codec._embed, codec._extract)
+# against its NumPy bodies, which run where the kernel did not load.
+
+needs_kernel = pytest.mark.skipif(
+    codec._capacity is None,
+    reason="the compiled kernel did not load (no C compiler, or its cache directory is read-only)",
+)
+
+
+def _numpy_bodies():
+    """A context in which the embedder runs its NumPy bodies, as where the
+    kernel did not load."""
+    return mock.patch.multiple(codec, _capacity=None, _embed=None, _extract=None)
+
+
+def _kernel_and_numpy(name, *args):
+    """A fresh embedder's name(*args) through the kernel (where it loaded)
+    and through the NumPy bodies, checked equal as _same_as_oracle checks;
+    returns the result, or None for an error."""
+    def numpy():
+        with _numpy_bodies():
+            return getattr(PredictionErrorEmbedder(), name)(*args)
+    return _same_as_oracle(lambda: getattr(PredictionErrorEmbedder(), name)(*args), numpy)
+
+
+# 1 x n and n x 1 grids, every cell on the border ring with one or two
+# neighbours, 1 x 1 among them, or 2x2 to 24x24, odd widths included
+KERNEL_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 40)),
+                          st.tuples(st.integers(1, 40), st.just(1)),
+                          st.tuples(st.integers(2, 24), st.integers(2, 24)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=KERNEL_SHAPES, span=EMBED_SPANS, data=st.data())
+def test_kernel_capacity_and_embed_match_the_numpy_bodies(shape, span, data):
+    img = data.draw(arrays(np.uint8, shape, elements=st.integers(*span)))
+    room = _kernel_and_numpy("capacity", img)
+    _same_as_oracle(lambda: PredictionErrorEmbedder().capacity(img),
+                    lambda: oracle_embed.capacity(img))
+    if room is None:
+        return
+    # no bits, some, exactly the room, and one bit past it
+    n = data.draw(st.sampled_from([0, room, room + 1, data.draw(st.integers(0, room))]))
+    bits = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)))
+    _kernel_and_numpy("embed", img, bits)
+    _same_as_oracle(lambda: (PredictionErrorEmbedder().embed(img, bits),),
+                    lambda: (oracle_embed.embed(img, bits),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=KERNEL_SHAPES, span=MARKED_SPANS, data=st.data())
+def test_kernel_capacity_and_extract_match_the_numpy_bodies_on_any_grid(shape, span, data):
+    # any uint8 grid, 0 and 255 included, whose codes reach past the window
+    # [-2, 1] both ways
+    marked = data.draw(arrays(np.uint8, shape, elements=st.integers(*span)))
+    _kernel_and_numpy("capacity", marked)
+    _kernel_and_numpy("extract", marked)
+    _same_as_oracle(lambda: PredictionErrorEmbedder().extract(marked),
+                    lambda: oracle_embed.extract(marked))
+
+
+def test_kernel_embed_raises_as_the_numpy_body_past_the_room():
+    img = default_rng(31).integers(99, 103, (9, 11)).astype(np.uint8)
+    room = oracle_embed.capacity(img)
+    for n in (room + 1, room + 7):
+        with pytest.raises(CapacityError, match=f"payload of {n} bits exceeds capacity {room}"):
+            PredictionErrorEmbedder().embed(img, np.ones(n, dtype=np.uint8))
+        _kernel_and_numpy("embed", img, np.ones(n, dtype=np.uint8))
+    # the range check comes first, as in the NumPy body
+    img[0, 0] = 255
+    with pytest.raises(ValidationError, match=r"embedding needs pixels in \[1, 254\]"):
+        PredictionErrorEmbedder().embed(img, np.ones(room + 1, dtype=np.uint8))
+    _kernel_and_numpy("embed", img, np.ones(room + 1, dtype=np.uint8))
+
+
+def test_kernel_takes_strided_transposed_and_int64_grids():
+    rng = default_rng(32)
+    base = rng.integers(96, 104, (23, 30)).astype(np.uint8)
+    for img in (base.T, base[::2, 1::3], base[:, ::-1], base.astype(np.int64), base[3:20, 5:22]):
+        room = _kernel_and_numpy("capacity", img)
+        bits = rng.integers(0, 2, room, dtype=np.uint8)
+        marked = _kernel_and_numpy("embed", img, bits)
+        stream, back = _kernel_and_numpy("extract", marked)
+        assert np.array_equal(back, img) and np.array_equal(stream[:room], bits)
+        _kernel_and_numpy("extract", img)
+
+
+def _benchmark_covers():
+    """The round-trip benchmark's three 512x512 covers: a dark pooled field,
+    0/255 blobs and a smooth grey field, drawn as the benchmark draws them."""
+    rng = default_rng(113)
+    return [_pooled_field(rng, 512, 512, 40, 45), _blobs(rng, 512, 512, 0.45),
+            np.clip(_pooled_field(rng, 512, 512, 128, 24), 16, 239)]
+
+
+@needs_kernel
+def test_kernel_matches_the_numpy_bodies_on_the_benchmark_covers():
+    rng = default_rng(33)
+    for cover in _benchmark_covers():
+        shifted = forward(cover, PreprocessParams(1, 1, 4)).shifted
+        room = _kernel_and_numpy("capacity", shifted)
+        assert room > 50_000
+        bits = rng.integers(0, 2, room, dtype=np.uint8)
+        marked = _kernel_and_numpy("embed", shifted, bits)
+        stream, back = _kernel_and_numpy("extract", marked)
+        assert np.array_equal(back, shifted) and np.array_equal(stream, bits)
+        _kernel_and_numpy("capacity", cover)
+        _kernel_and_numpy("extract", cover)
+
+
+@needs_kernel
+def test_kernel_loops_take_any_row_stride_of_the_prediction():
+    # predict_grid's rows lie w + 1 cells apart; rows further apart, or a
+    # prediction whose rows are not contiguous, give the same results
+    rng = default_rng(34)
+    img = rng.integers(97, 103, (11, 13)).astype(np.uint8)
+    pred = predict_grid(img)
+    wide = np.zeros((11, 20), np.int16)
+    wide[:, :13] = pred
+    room = codec._capacity(img, pred)
+    bits = rng.integers(0, 2, room, dtype=np.uint8)
+    marked = codec._embed(img, pred, bits)
+    stream, back = codec._extract(marked, predict_grid(marked))
+    assert np.array_equal(back, img) and np.array_equal(stream, bits)
+    for layout in (wide[:, :13], np.ascontiguousarray(pred), np.asfortranarray(pred)):
+        assert codec._capacity(img, layout) == room
+        assert np.array_equal(codec._embed(img, layout, bits), marked)
+        _same_as_oracle(lambda: codec._extract(img, layout),
+                        lambda: PredictionErrorEmbedder().extract(img))

@@ -88,11 +88,15 @@ def test_round_trip_boundary_heavy_cover():
     _round_trip(cover, bits, params)
 
 
+_KERNEL_STEPS = ("_forward", "_inverse", "_capacity", "_embed", "_extract")
+
+
 def _force_the_numpy_chain(monkeypatch):
-    """Run forward and inverse through preprocess's NumPy chain, as they run
-    where the kernel did not load."""
-    monkeypatch.setattr(codec, "_forward", None)
-    monkeypatch.setattr(codec, "_inverse", None)
+    """Run forward and inverse through preprocess's NumPy chain, and the
+    embedder's capacity, embed and extract through its NumPy bodies, as they
+    run where the kernel did not load."""
+    for name in _KERNEL_STEPS:
+        monkeypatch.setattr(codec, name, None)
 
 
 def test_round_trip_does_each_step_once(monkeypatch, fresh_embedder):
@@ -115,7 +119,7 @@ def test_round_trip_does_each_step_once(monkeypatch, fresh_embedder):
     for name in ("forward", "compress", "frame_payload", "deframe_payload",
                  "decompress", "inverse"):
         monkeypatch.setattr(pipeline, name, count(name, getattr(pipeline, name)))
-    for name in ("_forward", "_inverse"):
+    for name in _KERNEL_STEPS:
         if getattr(codec, name) is not None:
             monkeypatch.setattr(codec, name, count(f"kernel{name}", getattr(codec, name)))
     cls = embedder.PredictionErrorEmbedder
@@ -127,11 +131,11 @@ def test_round_trip_does_each_step_once(monkeypatch, fresh_embedder):
         fresh_embedder()
         _round_trip(cover, bits, params)
         # forward and inverse each run the kernel once and predict nothing;
-        # capacity predicts the shifted image (embed reuses its errors) and
-        # extract the marked one
+        # capacity predicts the shifted image (embed reuses its prediction)
+        # and extract the marked one, and each runs its kernel loop once
         assert calls.count("predict_grid") == 2
         assert sorted(c for c in calls if c != "predict_grid") == sorted(
-            steps + ["kernel_forward", "kernel_inverse"])
+            steps + [f"kernel{name}" for name in _KERNEL_STEPS])
         calls.clear()
     _force_the_numpy_chain(monkeypatch)
     fresh_embedder()
